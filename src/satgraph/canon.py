@@ -2,19 +2,28 @@
 
 The canonical form of a graph is the smallest packing of its upper-triangle
 adjacency bits (column-major, the bit order graph6 uses) over all labelings
-compatible with iterated colour refinement: branch on each vertex of the
-first non-singleton colour class, re-refine, and take the minimum over the
-discrete partitions reached.  Refinement and the branching rule are
-label-independent, so two graphs are isomorphic iff their canonical forms
-coincide, and the form is deterministic.  Intended for small n (search
-lives at n <= 10); a guard trips rather than letting a pathological branch
-run away.
+compatible with iterated colour refinement: branch on the vertices of the
+first non-singleton colour class (one per twin class, below), re-refine,
+and take the minimum over the discrete partitions reached.  Refinement
+and the branching rule are label-independent, so two graphs are
+isomorphic iff their canonical forms coincide, and the form is
+deterministic.  Intended for small n (search lives at n <= 10); a guard
+trips rather than letting a pathological branch run away.
+
+Twin rule: within the target class the branch visits one vertex per twin
+class, where u and v are twins when ``adj[u]`` and ``adj[v]`` agree off
+{u, v} (equal open or equal closed neighbourhoods).  The transposition
+(u v) is then an automorphism that fixes every vertex individualised so
+far, so it maps the subtree under u onto the subtree under v leaf by leaf,
+and both reach the same set of packed values.  The minimum, and hence the
+form, is the one the full branch gives; only the labeling returned for a
+tied minimum may differ.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import LabelingLimitError
 from .graphs import Graph
 
 __all__ = [
@@ -28,31 +37,49 @@ __all__ = [
 _LABELING_GUARD = 2_000_000
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
-    """Stable colour refinement: recolour by (colour, per-class neighbour
-    counts).  Signatures are packed into integers, most significant digit
-    first, so integer order is the lexicographic order of the tuples."""
-    base = n + 1
-    while True:
-        masks: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            masks[c] = masks.get(c, 0) | 1 << v
-        if len(masks) == n:
-            rank = {c: i for i, c in enumerate(sorted(masks))}
-            return [rank[c] for c in colors]
-        cmasks = [masks[c] for c in sorted(masks)]
-        sigs = []
-        for v in range(n):
-            a = adj[v]
-            s = colors[v]
-            for m in cmasks:
-                s = s * base + (a & m).bit_count()
-            sigs.append(s)
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: Sequence[int], cells: list[list[int]], fresh: list[int]) -> list[list[int]]:
+    """Refine an ordered partition (cells of sorted vertex lists) to the
+    stable one.  Each round splits every non-singleton cell by its members'
+    neighbour counts into the cells of the round, parts in ascending
+    lexicographic order of the count vectors (packed into one integer, most
+    significant first), and keeps the cells in order.
+
+    Only the counts into `fresh` (masks) are taken: every cell already has
+    constant counts into a cell the previous round left whole, and into the
+    last part of a split cell the count is fixed by the earlier parts, so
+    those entries never decide the order.  `fresh` is the parts a round
+    created, minus the last part of each split."""
+    shift = len(adj).bit_length()
+    while fresh:
+        out: list[list[int]] = []
+        nxt: list[int] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                a = adj[v]
+                key = 0
+                for m in fresh:
+                    key = key << shift | (a & m).bit_count()
+                part = groups.get(key)
+                if part is None:
+                    groups[key] = [v]
+                else:
+                    part.append(v)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            parts = [groups[k] for k in sorted(groups)]
+            out += parts
+            for part in parts[:-1]:
+                mask = 0
+                for v in part:
+                    mask |= 1 << v
+                nxt.append(mask)
+        cells, fresh = out, nxt
+    return cells
 
 
 def _pack(n: int, adj: Sequence[int], pos: Sequence[int]) -> int:
@@ -72,48 +99,37 @@ def canonical_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
     at position i."""
     if n == 0:
         return (), 0
-    colors = _refine(n, adj, [0] * n)
+    cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
     best_packed: int | None = None
     best_pos: tuple[int, ...] | None = None
     visited = 0
 
-    # empty and complete graphs never split under refinement; their packed
-    # form is position-independent
-    if len(set(colors)) == 1:
-        deg = adj[0].bit_count()
-        if deg == 0:
-            return tuple(range(n)), 0
-        if deg == n - 1:
-            return tuple(range(n)), (1 << (n * (n - 1) // 2)) - 1
-
-    def rec(colors: list[int]) -> None:
+    def rec(cells: list[list[int]]) -> None:
         nonlocal best_packed, best_pos, visited
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+        if len(cells) == n:
             visited += 1
             if visited > _LABELING_GUARD:
-                raise DomainError(f"canonical labeling exceeded {_LABELING_GUARD} branches")
-            pos = [0] * n
-            for v, c in enumerate(colors):
-                pos[c] = v
+                raise LabelingLimitError(f"canonical labeling exceeded {_LABELING_GUARD} branches")
+            pos = [cell[0] for cell in cells]
             packed = _pack(n, adj, pos)
             if best_packed is None or packed < best_packed:
                 best_packed = packed
                 best_pos = tuple(pos)
             return
+        i = 0
+        while len(cells[i]) == 1:
+            i += 1
+        target = cells[i]
+        branched: list[int] = []
         for v in target:
-            nxt = [c * 2 + 1 for c in colors]
-            nxt[v] = colors[v] * 2
-            rec(_refine(n, adj, nxt))
+            if any(adj[u] & ~(1 << u | 1 << v) == adj[v] & ~(1 << u | 1 << v) for u in branched):
+                continue
+            branched.append(v)
+            rest = [w for w in target if w != v]
+            # cells is stable, so only {v} is fresh: rest is the last part
+            rec(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:], [1 << v]))
 
-    rec(colors)
+    rec(cells)
     assert best_pos is not None and best_packed is not None
     return best_pos, best_packed
 

@@ -6,6 +6,11 @@ class DomainError(ValueError):
     """A parameter lies outside an operation's valid range."""
 
 
+class LabelingLimitError(DomainError):
+    """Canonical labeling hit its branch guard.  A search reports this as
+    a resource limit, like a spent node or time budget."""
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input.  `offset` is the byte position of the fault."""
 

@@ -22,7 +22,7 @@ from math import comb
 from typing import Optional
 
 from .canon import canonical_masks, masks_from_packed
-from .errors import BudgetExceededError, DomainError, IntegrityError
+from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
 from .verify import (
@@ -222,7 +222,7 @@ def _solve(problem: SearchProblem, collect: bool) -> SearchResult:
             if solutions:
                 value = m
                 break
-    except BudgetExceededError:
+    except (BudgetExceededError, LabelingLimitError):
         return SearchResult(
             problem, "resource-limit", None, None, None, budget.nodes, elapsed_ms()
         )

@@ -1,11 +1,14 @@
 """Tests for canonical labeling and isomorphism checks."""
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import satgraph.canon
 from satgraph.canon import (
     are_isomorphic,
     canonical_form,
@@ -13,6 +16,7 @@ from satgraph.canon import (
     canonical_masks,
     masks_from_packed,
 )
+from satgraph.errors import DomainError
 from satgraph.graph6 import decode, encode
 from satgraph.graphs import Graph
 
@@ -88,3 +92,41 @@ def test_canonical_graph_is_idempotent(g):
     h = canonical_graph(g)
     assert canonical_graph(h) == h
     assert canonical_form(h) == canonical_form(g)
+
+
+@pytest.mark.parametrize("edges, packed", [
+    ([(0, v) for v in range(1, 10)], 511),                          # K_{1,9}
+    ([(u, v) for u in range(2) for v in range(2, 10)], 131070),     # K_{2,8}
+    ([(0, 1)], 1),                                                  # K_2 + 8 K_1
+], ids=["K_1,9", "K_2,8", "K_2+8K_1"])
+def test_twin_classes_branch_once(monkeypatch, edges, packed):
+    # a full branch would visit 9!, 2 * 8! and 2 * 8! leaves
+    monkeypatch.setattr(satgraph.canon, "_LABELING_GUARD", 100)
+    g = Graph(10, edges)
+    assert canonical_form(g) == (10, packed)
+    rng = random.Random(10)
+    for _ in range(5):
+        sigma = list(range(10))
+        rng.shuffle(sigma)
+        assert canonical_form(relabeled(g, sigma)) == (10, packed)
+
+
+def test_labeling_guard_raises_a_domain_error(monkeypatch):
+    monkeypatch.setattr(satgraph.canon, "_LABELING_GUARD", 0)
+    with pytest.raises(DomainError):
+        canonical_form(decode("Dhc"))
+
+
+def test_atlas_forms_golden():
+    """Pins the canonical choice itself (the witness goldens rest on it):
+    the number of forms per n matches the atlas, and the digest of every
+    form, in atlas order, is the one recorded for this packing."""
+    lines = []
+    forms: dict[int, set[int]] = {}
+    for h in networkx.graph_atlas_g():
+        n, packed = canonical_form(Graph(h.number_of_nodes(), h.edges()))
+        lines.append(f"{n} {packed}")
+        forms.setdefault(n, set()).add(packed)
+    assert [len(forms[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "aeac4b820425ffa10e3517b951d299aedb0c66d0f1ceb4b9289a8a8179b83f10"

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 
+import satgraph.canon
 from satgraph.cli import main
 from satgraph.graph6 import decode
 from satgraph.verify import is_saturated, is_semi_saturated
@@ -187,6 +188,13 @@ def test_search_enumerate_lists_extremal_graphs():
 def test_search_resource_limit_exits_three():
     code, out, _ = run(["search", "--n", "6", "--p", "3", "--t", "2",
                         "--node-budget", "10"])
+    assert code == 3
+    assert json.loads(out)["value"] == "resource-limit"
+
+
+def test_search_labeling_guard_is_a_resource_limit(monkeypatch):
+    monkeypatch.setattr(satgraph.canon, "_LABELING_GUARD", 0)
+    code, out, _ = run(["search", "--n", "6", "--p", "3", "--t", "2"])
     assert code == 3
     assert json.loads(out)["value"] == "resource-limit"
 

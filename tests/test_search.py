@@ -74,9 +74,12 @@ def test_exact_sat_eight_vertices():
 
 
 def test_isomorphism_rejection_does_not_change_results():
-    for n, p, t in [(5, 3, 2), (6, 3, 1), (6, 4, 2), (6, 3, 2)]:
-        a = exact_sat(SearchProblem(n, p, t))
-        b = exact_sat(SearchProblem(n, p, t, iso_reject=False))
+    cases = [(5, 3, 2, "sat"), (6, 3, 1, "sat"), (6, 4, 2, "sat"), (6, 3, 2, "sat"),
+             (6, 4, 2, "semi"), (6, 3, 2, "sat-exact")]
+    for n, p, t, mode in cases:
+        solve = exact_semi_sat if mode == "semi" else exact_sat
+        a = solve(SearchProblem(n, p, t, mode=mode))
+        b = solve(SearchProblem(n, p, t, mode=mode, iso_reject=False))
         assert (a.value, a.witness_graph6) == (b.value, b.witness_graph6)
         assert b.nodes >= a.nodes
 
