@@ -62,44 +62,43 @@ def _read_lines(path: Optional[str]) -> list[str]:
         return [ln.strip() for ln in fh if ln.strip()]
 
 
-def _need(args, *names: str) -> None:
+def _need(args, label: str, *names: str) -> None:
     missing = [f"--{x}" for x in names if getattr(args, x) is None]
     if missing:
-        raise DomainError(f"{args.name} requires {', '.join(missing)}")
+        raise DomainError(f"{label} requires {', '.join(missing)}")
 
 
 def _build_construction(a):
     name = a.name
     extra = {}
     if name == "ehm":
-        _need(a, "n", "p")
+        _need(a, name, "n", "p")
         g = cons.ehm_extremal(a.n, a.p)
     elif name == "bipartite":
-        _need(a, "n", "t")
+        _need(a, name, "n", "t")
         g = cons.complete_bipartite(a.t, a.n)
     elif name == "clique-join":
-        _need(a, "n", "p", "t")
+        _need(a, name, "n", "p", "t")
         g = cons.clique_join_bipartite(a.n, a.p, a.t)
     elif name == "duffus-hanson":
-        _need(a, "n")
+        _need(a, name, "n")
         g = cons.duffus_hanson_t2(a.n)
     elif name == "petersen":
         g = cons.petersen()
     elif name == "split-family":
-        _need(a, "n", "t")
+        _need(a, name, "n", "t")
         g, layout = cons.split_family(a.t, a.n)
         extra["layout"] = layout.to_json()
     elif name == "f-graph":
-        _need(a, "n", "t")
+        _need(a, name, "n", "t")
         g = cons.f_graph(a.n, a.t)
     elif name == "semi-sat":
-        _need(a, "n", "p", "t")
+        _need(a, name, "n", "p", "t")
         g = cons.semi_sat(a.n, a.p, a.t)
     elif name == "cone":
         g = cons.cone(_read_one_graph(a.input))
     elif name == "duplicate":
-        if a.vertex is None:
-            raise DomainError("duplicate requires --vertex")
+        _need(a, name, "vertex")
         g = cons.duplicate_vertex(_read_one_graph(a.input), a.vertex)
     else:
         raise DomainError(f"unknown construction {name!r}")
@@ -140,8 +139,11 @@ def _verify_line(job):
 def _cmd_verify(a) -> int:
     jobs = [(line, a.p, a.t, a.semi) for line in _read_lines(a.input)]
     if a.threads > 1 and len(jobs) > 1:
+        # about four chunks per worker: one task per line costs more in
+        # pickling and queueing than a small line takes to check
+        chunk = -(-len(jobs) // (4 * a.threads))
         with ProcessPoolExecutor(max_workers=a.threads) as pool:
-            results = list(pool.map(_verify_line, jobs))
+            results = list(pool.map(_verify_line, jobs, chunksize=chunk))
     else:
         results = [_verify_line(job) for job in jobs]
     failed = False
@@ -194,24 +196,25 @@ def _cmd_search(a) -> int:
 
 
 def _cmd_hyper(a) -> int:
+    label = f"hyper {a.kind}"
     if a.kind == "base":
-        _need_hyper(a, "r", "t", "n")
+        _need(a, label, "r", "t", "n")
         h, part = sidorenko_base(a.r, a.t, a.n)
         meta = {"partition": part.to_json(), "edges": h.edge_count()}
     elif a.kind == "complete":
-        _need_hyper(a, "r", "t", "n", "p")
+        _need(a, label, "r", "t", "n", "p")
         base, part = sidorenko_base(a.r, a.t, a.n)
         h = greedy_complete(base, a.p)
         meta = {"partition": part.to_json(), "edges": h.edge_count()}
     elif a.kind == "saturated":
-        _need_hyper(a, "r", "t", "n", "p")
+        _need(a, label, "r", "t", "n", "p")
         h = saturated_hypergraph(a.r, a.p, a.t, a.n)
         meta = {
             "edges": h.edge_count(),
             "universal": list(range(a.n - max(a.p - a.r - 1, 0), a.n)),
         }
     elif a.kind == "bollobas":
-        _need_hyper(a, "r", "n", "p")
+        _need(a, label, "r", "n", "p")
         h = bollobas_extremal(a.n, a.r, a.p)
         meta = {"edges": h.edge_count(), "core": list(range(a.p - a.r))}
     else:
@@ -220,12 +223,6 @@ def _cmd_hyper(a) -> int:
     if a.json:
         print(json.dumps(meta))
     return 0
-
-
-def _need_hyper(a, *names: str) -> None:
-    missing = [f"--{x}" for x in names if getattr(a, x) is None]
-    if missing:
-        raise DomainError(f"hyper {a.kind} requires {', '.join(missing)}")
 
 
 def _frac(x: Fraction):

@@ -17,7 +17,7 @@ control by at least 1/(2t); at most 2t^2 steps can occur.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -299,11 +299,7 @@ def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Cer
         r_star=r_star, iterations=len(steps), bound=bound, edges=edges,
         verified=False,
     )
-    return Certificate(
-        graph6=cert.graph6, p=cert.p, t=cert.t, r0=cert.r0, steps=cert.steps,
-        r_star=cert.r_star, iterations=cert.iterations, bound=cert.bound,
-        edges=cert.edges, verified=verify_certificate(cert, g),
-    )
+    return replace(cert, verified=verify_certificate(cert, g))
 
 
 def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:

@@ -1,5 +1,14 @@
 """Saturation checkers, edge-count bound evaluators, and verification reports.
 
+Saturation is checked one vertex at a time.  A non-edge uv is saturating
+when N(u) & N(v) holds a (p-2)-clique, and every such clique is a clique
+of N(u).  So for each u a single search over the increasing cliques of
+N(u) settles all non-edges uv with v > u at once: each branch carries the
+still-open v adjacent to every vertex chosen so far, is dropped once none
+is left, and closes them at depth p-2.  Scanning u upwards and taking the
+lowest v still open yields the same lexicographically least non-saturating
+pair as testing the non-edges one by one.
+
 All bound evaluators return exact values (int or Fraction); nothing here
 touches floating point.
 """
@@ -14,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError, FatalInconsistencyError
 from .graph6 import encode
-from .graphs import Graph, find_clique, find_clique_in_mask
+from .graphs import Graph, find_clique
 from .hypergraphs import Hypergraph, find_r_clique, to_text
 
 __all__ = [
@@ -51,26 +60,58 @@ def is_kp_free(g: Graph, p: int) -> bool:
     return find_clique(g, p) is None
 
 
+def _unsaturated_above(adj: Sequence[int], n: int, u: int, k: int) -> int:
+    """Mask of the v > u not adjacent to u whose common neighbourhood with
+    u holds no k-clique.
+
+    One DFS over the increasing k-cliques of N(u); `live` is the open v
+    adjacent to every vertex chosen so far, and a branch ends when it is
+    empty.  A clique reached at depth k closes its `live`.
+    """
+    todo = ((1 << n) - 1) & ~adj[u] & ~((2 << u) - 1)
+    if k <= 0 or not todo:
+        return 0
+
+    def rec(cand: int, live: int, need: int, todo: int) -> int:
+        while cand and cand.bit_count() >= need:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            left = live & adj[w] & todo
+            if not left:
+                continue
+            if need == 1:
+                todo &= ~left
+            else:
+                # cand holds only vertices above w, so cliques stay increasing
+                todo = rec(cand & adj[w], left, need - 1, todo)
+            if not todo:
+                return 0
+        return todo
+
+    return rec(adj[u], todo, k, todo)
+
+
 def saturation_holds_masks(n: int, adj: Sequence[int], p: int) -> bool:
     """Every non-adjacent pair has a (p-2)-clique in its common
     neighbourhood; freeness is not examined here."""
     k = p - 2
-    for u in range(n):
-        row = adj[u]
-        for v in range(u + 1, n):
-            if not row >> v & 1:
-                if find_clique_in_mask(adj, row & adj[v], k) is None:
-                    return False
-    return True
+    return not any(_unsaturated_above(adj, n, u, k) for u in range(n))
 
 
 def non_saturating_pair(g: Graph, p: int) -> Optional[tuple[int, int]]:
-    """Lexicographically least non-edge whose addition creates no new K_p."""
+    """Lexicographically least non-edge whose addition creates no new K_p.
+
+    The least u with an unsaturated non-edge uv above it comes first, and
+    `_unsaturated_above` returns every such v for that u at once, so its
+    lowest bit is the least pair.
+    """
     _check_p(p)
     adj = g.masks()
-    for u, v in g.non_edges():
-        if find_clique_in_mask(adj, adj[u] & adj[v], p - 2) is None:
-            return (u, v)
+    for u in range(g.n):
+        todo = _unsaturated_above(adj, g.n, u, p - 2)
+        if todo:
+            return (u, (todo & -todo).bit_length() - 1)
     return None
 
 

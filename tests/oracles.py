@@ -52,6 +52,21 @@ def brute_is_semi_saturated(g: Graph, p: int) -> bool:
     return True
 
 
+def brute_non_saturating_pair(g: Graph, p: int):
+    """First non-edge (u, v) in lexicographic order with no (p-2)-subset of
+    the common neighbourhood that is a clique, or None."""
+    for u, v in combinations(range(g.n), 2):
+        if g.has_edge(u, v):
+            continue
+        common = [w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)]
+        if not any(
+            all(g.has_edge(a, b) for a, b in combinations(sub, 2))
+            for sub in combinations(common, p - 2)
+        ):
+            return (u, v)
+    return None
+
+
 def all_graphs(n: int):
     """Yield every labeled graph on n vertices, one per pair bitmask."""
     pairs = list(combinations(range(n), 2))

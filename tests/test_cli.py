@@ -4,11 +4,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
+from itertools import combinations
 
 import satgraph.canon
 from satgraph.cli import main
-from satgraph.graph6 import decode
+from satgraph.constructions import duffus_hanson_t2
+from satgraph.graph6 import decode, encode
+from satgraph.graphs import Graph
 from satgraph.verify import is_saturated, is_semi_saturated
 
 
@@ -77,6 +81,12 @@ def test_construct_missing_flag_is_usage_error():
     assert json.loads(err) == {"error": "domain", "detail": "ehm requires --p"}
 
 
+def test_construct_duplicate_without_vertex_is_usage_error():
+    code, _, err = run(["construct", "duplicate"], stdin="DLo\n")
+    assert code == 2
+    assert json.loads(err) == {"error": "domain", "detail": "duplicate requires --vertex"}
+
+
 def test_construct_unknown_name_is_usage_error():
     code, _, err = run(["construct", "nonsense"])
     assert code == 2
@@ -122,6 +132,25 @@ def test_verify_parallel_output_matches_serial():
     serial = run(["verify", "--p", "3", "--threads", "1"], stdin=stdin)
     parallel = run(["verify", "--p", "3", "--threads", "2"], stdin=stdin)
     assert serial == parallel
+
+
+def test_verify_chunked_parallel_output_matches_serial():
+    # 60 lines make chunks of 8 under two workers; the order must survive
+    rng = random.Random(5)
+    lines = []
+    for i in range(60):
+        if i % 3 == 0:
+            g = duffus_hanson_t2(7 + i % 5)
+        else:
+            n = rng.randint(5, 9)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        lines.append(encode(g))
+    stdin = "\n".join(lines) + "\n"
+    serial = run(["verify", "--p", "3", "--t", "2", "--threads", "1"], stdin=stdin)
+    parallel = run(["verify", "--p", "3", "--t", "2", "--threads", "2"], stdin=stdin)
+    assert serial == parallel
+    flags = [json.loads(line)["saturated"] for line in serial[1].splitlines()]
+    assert len(flags) == 60 and True in flags and False in flags
 
 
 def test_verify_bad_graph6_is_usage_error():
@@ -252,6 +281,9 @@ def test_hyper_missing_flags():
     payload = json.loads(err)
     assert payload["error"] == "domain"
     assert "--t" in payload["detail"] and "--p" in payload["detail"]
+    code, _, err = run(["hyper", "base", "--p", "4"])
+    assert (code, json.loads(err)) == (
+        2, {"error": "domain", "detail": "hyper base requires --r, --t, --n"})
 
 
 def test_bounds_with_degree_and_uniformity():

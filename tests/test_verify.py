@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from satgraph.constructions import (
+    clique_join_bipartite,
     cone,
     complete_bipartite,
     duffus_hanson_t2,
@@ -35,11 +36,16 @@ from satgraph.verify import (
     is_semi_saturated,
     non_saturating_pair,
     non_saturating_r_set,
+    saturation_holds_masks,
     semi_sat_lower_bound,
     semi_sat_upper_bound,
 )
 
-from oracles import brute_is_saturated, brute_is_semi_saturated
+from oracles import (
+    brute_is_saturated,
+    brute_is_semi_saturated,
+    brute_non_saturating_pair,
+)
 from test_graphs import graphs
 
 
@@ -207,6 +213,29 @@ def test_checkers_match_definitional_brute_force(g, p):
     if is_saturated(g, p):
         assert is_semi_saturated(g, p)
         assert is_kp_free(g, p)
+
+
+@given(graphs(max_n=9), st.integers(min_value=3, max_value=6))
+def test_non_saturating_pair_matches_oracle(g, p):
+    pair = non_saturating_pair(g, p)
+    assert pair == brute_non_saturating_pair(g, p)
+    assert saturation_holds_masks(g.n, g.masks(), p) == (pair is None)
+
+
+@pytest.mark.parametrize("g, p", [
+    (duffus_hanson_t2(40), 3),
+    (complete_bipartite(3, 30), 3),
+    (ehm_extremal(30, 5), 5),
+    (clique_join_bipartite(30, 5, 6), 5),
+], ids=["duffus-hanson", "bipartite", "ehm", "clique-join"])
+def test_non_saturating_pair_on_constructions_with_an_edge_deleted(g, p):
+    edges = list(g.edges())
+    variants = [g] + [Graph(g.n, [f for f in edges if f != e]) for e in edges[:10]]
+    for h in variants:
+        pair = non_saturating_pair(h, p)
+        assert pair == brute_non_saturating_pair(h, p)
+        assert saturation_holds_masks(h.n, h.masks(), p) == (pair is None)
+    assert non_saturating_pair(g, p) is None
 
 
 def test_saturated_constructions_meet_lower_bounds():
