@@ -1,5 +1,12 @@
 """r-uniform hypergraphs: codegrees, complete-subhypergraph search, text I/O.
 
+Clique kernels work on link masks, the hypergraph version of the adjacency
+masks in `graphs`: the link of an (r-1)-set S is the bitmask of the vertices
+x for which S + {x} is an edge.  A vertex x extends a set whose r-subsets
+are all edges exactly when x lies in the link of each of its (r-1)-subsets,
+so growing a complete p-set one vertex at a time is one `&` per new
+(r-1)-subset.
+
 The text format is "r n m" on the first line, then m lines each holding r
 strictly increasing 0-based vertex indices, lines sorted lexicographically.
 """
@@ -13,6 +20,7 @@ from .errors import DomainError, ParseError
 
 __all__ = [
     "Hypergraph",
+    "link_masks",
     "contains_r_clique",
     "find_r_clique",
     "to_text",
@@ -90,14 +98,53 @@ class Hypergraph:
         return f"Hypergraph(r={self.r}, n={self.n}, m={len(self.edges)})"
 
 
+def link_masks(edges: Iterable[tuple[int, ...]], r: int) -> dict[tuple[int, ...], int]:
+    """Map each sorted (r-1)-tuple S to its link: the mask of the vertices
+    x for which S + {x} is an edge.  Edges must be sorted r-tuples;
+    (r-1)-sets in no edge are absent."""
+    links: dict[tuple[int, ...], int] = {}
+    for e in edges:
+        for i in range(r):
+            s = e[:i] + e[i + 1:]
+            links[s] = links.get(s, 0) | 1 << e[i]
+    return links
+
+
 def find_r_clique(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically least p-set whose every r-subset is an edge, or None."""
-    if p < h.r:
-        raise DomainError(f"clique order must be >= r={h.r}, got {p}")
-    for cand in combinations(range(h.n), p):
-        if all(sub in h._eset for sub in combinations(cand, h.r)):
-            return cand
-    return None
+    """Lexicographically least p-set whose every r-subset is an edge, or None.
+
+    DFS over increasing vertices.  `cand` holds the vertices above the last
+    chosen one that lie in the link of every (r-1)-subset chosen so far;
+    choosing v ANDs in the links of the new (r-1)-subsets, those ending in v.
+    The first p-set reached is the least, since DFS order is lexicographic.
+    """
+    r = h.r
+    if p < r:
+        raise DomainError(f"clique order must be >= r={r}, got {p}")
+    links = link_masks(h.edges, r)
+
+    def rec(chosen: tuple[int, ...], cand: int, need: int) -> Optional[tuple[int, ...]]:
+        while cand and cand.bit_count() >= need:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            grown = chosen + (v,)
+            if need == 1:
+                return grown
+            # cand holds only vertices above v, so every key stays sorted
+            nxt = cand
+            for sub in combinations(chosen, r - 2) if r > 1 else ():
+                nxt &= links.get(sub + (v,), 0)
+                if not nxt:
+                    break
+            found = rec(grown, nxt, need - 1)
+            if found is not None:
+                return found
+        return None
+
+    # for r = 1 the empty choice already has an (r-1)-subset: ()
+    start = links.get((), 0) if r == 1 else (1 << h.n) - 1
+    return rec((), start, p)
 
 
 def contains_r_clique(h: Hypergraph, p: int) -> bool:

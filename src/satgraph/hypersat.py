@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .hypergraphs import Hypergraph, contains_r_clique
+from .hypergraphs import Hypergraph, contains_r_clique, link_masks
 from .verify import _creates_complete
 
 __all__ = [
@@ -132,15 +132,19 @@ def extension_class_check(
 def greedy_complete(h: Hypergraph, p: int) -> Hypergraph:
     """Add absent r-sets in ascending order, skipping any whose addition
     would complete a p-set.  One pass saturates: a skipped set's blockers
-    are only ever added to."""
+    are only ever added to.  The link masks are kept in step with the
+    edge set, r entries per added edge."""
     if p < h.r + 1:
         raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
     if contains_r_clique(h, p):
         raise DomainError("input already contains a complete p-set")
     eset = set(h.edges)
+    links = link_masks(h.edges, h.r)
     for cand in combinations(range(h.n), h.r):
-        if cand not in eset and not _creates_complete(h.n, h.r, eset, cand, p):
+        if cand not in eset and not _creates_complete(h.r, eset, links, cand, p):
             eset.add(cand)
+            for sub, bit in link_masks((cand,), h.r).items():
+                links[sub] = links.get(sub, 0) | bit
     return Hypergraph(h.r, h.n, eset)
 
 

@@ -23,8 +23,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError, FatalInconsistencyError
 from .graph6 import encode
-from .graphs import Graph, find_clique
-from .hypergraphs import Hypergraph, find_r_clique, to_text
+from .graphs import Graph, find_clique, iter_bits
+from .hypergraphs import Hypergraph, find_r_clique, link_masks, to_text
 
 __all__ = [
     "is_kp_free",
@@ -141,16 +141,29 @@ def non_saturating_r_set(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
     if p < h.r + 1:
         raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
     eset = set(h.edges)
+    links = link_masks(h.edges, h.r)
     for cand in h.non_edges():
-        if not _creates_complete(h.n, h.r, eset, cand, p):
+        if not _creates_complete(h.r, eset, links, cand, p):
             return cand
     return None
 
 
-def _creates_complete(n: int, r: int, eset: set, cand: tuple[int, ...], p: int) -> bool:
-    """Would adding `cand` complete some p-set?"""
-    rest = [v for v in range(n) if v not in cand]
-    for extra in combinations(rest, p - r):
+def _creates_complete(r: int, eset: set, links: dict, cand: tuple[int, ...], p: int) -> bool:
+    """Would adding the absent r-set `cand` complete some p-set?
+
+    Filter, then check.  Each extra vertex x of a p-set that `cand`
+    completes makes S + {x} an edge for every (r-1)-subset S of `cand`, so
+    x lies in `common`, the AND of those r links (`links` as built by
+    `link_masks` from `eset`).  An empty `common` settles it at once;
+    otherwise only the (p-r)-subsets of `common` need the full test that
+    every other r-subset of the p-set is an edge.
+    """
+    common = -1
+    for i in range(r):
+        common &= links.get(cand[:i] + cand[i + 1:], 0)
+        if not common:
+            return False
+    for extra in combinations(iter_bits(common), p - r):
         s = tuple(sorted(cand + extra))
         if all(sub == cand or sub in eset for sub in combinations(s, r)):
             return True
@@ -304,17 +317,18 @@ def _check_graph(g: Graph, p: int, t: Optional[int]) -> VerifyReport:
     elif pair is not None:
         witness = {"kind": "non_edge", "vertices": list(pair)}
 
-    bounds = [BoundEval("ehm", Fraction(ehm_bound(n, p)), Fraction(e) >= ehm_bound(n, p))]
+    v = ehm_bound(n, p)
+    bounds = [BoundEval("ehm", Fraction(v), e >= v)]
     v = dh_semi_bound(n, delta, p)
-    bounds.append(BoundEval("dh_semi", v, Fraction(e) >= v))
+    bounds.append(BoundEval("dh_semi", v, e >= v))
     if t is not None and delta >= t:
         # these bounds presuppose min degree >= t
         if n >= 4 * t:
             v = dh_mixed_bound(n, p, t)
-            bounds.append(BoundEval("dh_mixed", v, Fraction(e) >= v))
+            bounds.append(BoundEval("dh_mixed", v, e >= v))
         if 1 <= t <= 2:
-            v = Fraction(closure_tower_bound(n, p, t))
-            bounds.append(BoundEval("closure_tower", v, Fraction(e) >= v))
+            v = closure_tower_bound(n, p, t)
+            bounds.append(BoundEval("closure_tower", Fraction(v), e >= v))
 
     report = VerifyReport(
         subject=encode(g), n=n, p=p, t=t, edges=e, min_degree=delta,
@@ -340,8 +354,8 @@ def _check_hypergraph(h: Hypergraph, p: int, t: Optional[int]) -> VerifyReport:
     elif missing is not None:
         witness = {"kind": "non_edge", "vertices": list(missing)}
 
-    v = Fraction(bollobas_bound(h.n, h.r, p))
-    bounds = (BoundEval("bollobas", v, Fraction(e) >= v),)
+    v = bollobas_bound(h.n, h.r, p)
+    bounds = (BoundEval("bollobas", Fraction(v), e >= v),)
     report = VerifyReport(
         subject=_hypergraph_digest(h), n=h.n, p=p, t=t, edges=e,
         min_degree=delta, kp_free=kp_free, saturated=saturated,

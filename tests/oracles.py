@@ -131,3 +131,40 @@ def brute_r_saturated(n: int, r: int, edges: set[tuple[int, ...]], p: int) -> bo
         if not brute_hyperclique(edges | {e}, r, range(n), p):
             return False
     return True
+
+
+def brute_find_r_clique(n: int, r: int, edges: set[tuple[int, ...]], p: int):
+    """First p-set in lexicographic order whose every r-subset is an edge,
+    or None."""
+    for sub in combinations(range(n), p):
+        if all(e in edges for e in combinations(sub, r)):
+            return sub
+    return None
+
+
+def _brute_completes(n: int, r: int, edges: set[tuple[int, ...]], cand, p: int) -> bool:
+    """Is there a p-set containing `cand` whose other r-subsets are all edges?"""
+    return any(
+        set(cand) <= set(sub)
+        and all(e == cand or e in edges for e in combinations(sub, r))
+        for sub in combinations(range(n), p)
+    )
+
+
+def brute_non_saturating_r_set(n: int, r: int, edges: set[tuple[int, ...]], p: int):
+    """First absent r-set in lexicographic order whose addition completes
+    no p-set, or None."""
+    for cand in combinations(range(n), r):
+        if cand not in edges and not _brute_completes(n, r, edges, cand, p):
+            return cand
+    return None
+
+
+def brute_greedy_complete(n: int, r: int, edges: set[tuple[int, ...]], p: int):
+    """Add the absent r-sets in lexicographic order, each unless it would
+    complete a p-set; return the final edge set."""
+    done = set(edges)
+    for cand in combinations(range(n), r):
+        if cand not in done and not _brute_completes(n, r, done, cand, p):
+            done.add(cand)
+    return done

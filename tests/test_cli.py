@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -273,6 +274,29 @@ def test_hyper_bollobas_meta():
     lines = out.splitlines()
     assert lines[0] == "3 8 36"
     assert json.loads(lines[-1]) == {"edges": 36, "core": [0, 1]}
+
+
+def test_hyper_complete_text_and_meta():
+    code, out, err = run(["hyper", "complete", "--r", "3", "--t", "2", "--n", "10",
+                          "--p", "5", "--json"])
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[0] == "3 10 83"
+    assert lines[-1] == (
+        '{"partition": {"r": 3, "t": 2, "n": 10, "sizes": [6, 2, 2]}, "edges": 83}')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d81214a071c8edf0c2c8a55e1f6ef81b6bc645260f214378f27aa57ac386744")
+
+
+def test_hyper_saturated_text_and_meta():
+    code, out, err = run(["hyper", "saturated", "--r", "4", "--p", "5", "--t", "2",
+                          "--n", "13", "--json"])
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[0] == "4 13 380"
+    assert lines[-1] == '{"edges": 380, "universal": []}'
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9d982b63fd8e23e625e860b2fa1d15ff76c830c44b6d1729945dfb8942501f9e")
 
 
 def test_hyper_missing_flags():

@@ -1,18 +1,19 @@
 """Tests for the cyclic-class hypergraph constructions and greedy completion."""
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from satgraph.canon import are_isomorphic
 from satgraph.constructions import clique_join_bipartite, complete_bipartite
 from satgraph.errors import DomainError
 from satgraph.graphs import Graph
-from satgraph.hypergraphs import Hypergraph, contains_r_clique
+from satgraph.hypergraphs import Hypergraph, contains_r_clique, find_r_clique, to_text
 from satgraph.hypersat import (
     CyclicPartition,
     bollobas_extremal,
@@ -22,9 +23,14 @@ from satgraph.hypersat import (
     saturated_hypergraph,
     sidorenko_base,
 )
-from satgraph.verify import bollobas_bound, is_r_saturated
+from satgraph.verify import bollobas_bound, is_r_saturated, non_saturating_r_set
 
-from oracles import brute_r_saturated
+from oracles import (
+    brute_find_r_clique,
+    brute_greedy_complete,
+    brute_non_saturating_r_set,
+    brute_r_saturated,
+)
 
 
 def main_type_count(h: Hypergraph, part: CyclicPartition) -> int:
@@ -177,6 +183,69 @@ def test_saturated_hypergraph_goldens():
         for e in combinations(range(n), r):
             if set(e) & universal:
                 assert h.has_edge(e)
+
+
+def test_saturated_hypergraph_bytes_golden():
+    points = [
+        (3, 4, 2, 8), (3, 4, 2, 10), (3, 4, 3, 11), (3, 5, 3, 9),
+        (4, 5, 2, 10), (2, 3, 2, 60), (4, 5, 2, 13), (5, 6, 2, 12),
+    ]
+    text = "".join(to_text(saturated_hypergraph(*pt)) for pt in points)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "61d429d086923b71455a215b2cc341e7080bfba343c9ed5312fd64378149499c"
+    )
+
+
+def test_greedy_complete_bytes_golden_beyond_r_plus_one():
+    base, _ = sidorenko_base(3, 2, 10)
+    done = [greedy_complete(base, p) for p in (4, 5, 6)]
+    assert [h.edge_count() for h in done] == [62, 83, 98]
+    text = "".join(to_text(h) for h in done)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1dd9e6747d72d23fd5bf116bba40f37564abad6276552ad9dfdddbc8e0947249"
+    )
+
+
+@st.composite
+def r_graphs(draw):
+    """(n, r, edge set) with r in 1..4, n <= 8; sparse, half or dense."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=8))
+    sets = list(combinations(range(n), r))
+    top = (1 << len(sets)) - 1
+    a = draw(st.integers(min_value=0, max_value=top))
+    b = draw(st.integers(min_value=0, max_value=top))
+    mask = draw(st.sampled_from([a & b, a, a | b, a | b | top >> 2]))
+    return n, r, {e for i, e in enumerate(sets) if mask >> i & 1}
+
+
+def _all_but(n, r, missing):
+    return {e for e in combinations(range(n), r) if e not in missing}
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_graphs(), st.integers(min_value=0, max_value=3))
+@example((7, 3, _all_but(7, 3, {(0, 1, 2), (3, 4, 5)})), 2)
+@example((8, 2, _all_but(8, 2, {(0, 1), (2, 3), (4, 5)})), 3)
+@example((8, 4, _all_but(8, 4, {(0, 1, 2, 3), (4, 5, 6, 7)})), 3)
+def test_hypergraph_kernels_match_brute_force(case, extra):
+    # extra >= 2 is where _creates_complete tests subsets of the common link
+    n, r, edges = case
+    p = r + extra
+    h = Hypergraph(r, n, edges)
+    clique = brute_find_r_clique(n, r, edges, p)
+    assert find_r_clique(h, p) == clique
+    if p == r:
+        for kernel in (non_saturating_r_set, greedy_complete):
+            with pytest.raises(DomainError):
+                kernel(h, p)
+        return
+    assert non_saturating_r_set(h, p) == brute_non_saturating_r_set(n, r, edges, p)
+    if clique is not None:
+        with pytest.raises(DomainError):
+            greedy_complete(h, p)
+    else:
+        assert set(greedy_complete(h, p).edges) == brute_greedy_complete(n, r, edges, p)
 
 
 def test_saturated_hypergraph_rejects_bad_parameters():
