@@ -17,7 +17,7 @@ control by at least 1/(2t); at most 2t^2 steps can occur.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     FatalInconsistencyError,
     IntegrityError,
+    ParseError,
     VerificationError,
 )
 from .graph6 import decode, encode
@@ -78,13 +79,12 @@ class ClosureState:
     r: frozenset[int]
     rbar: frozenset[int]
     y: frozenset[int]
-    step: int
     r_mask: int
     rbar_mask: int
     y_mask: int
 
 
-def make_state(g: Graph, t: int, r: Iterable[int], step: int = 0) -> ClosureState:
+def make_state(g: Graph, t: int, r: Iterable[int]) -> ClosureState:
     r = frozenset(r)
     if not r:
         raise DomainError("seed set must be non-empty")
@@ -93,7 +93,7 @@ def make_state(g: Graph, t: int, r: Iterable[int], step: int = 0) -> ClosureStat
     rbar = closure(g, t, r)
     y = frozenset(range(g.n)) - rbar
     return ClosureState(
-        graph=g, t=t, r=r, rbar=rbar, y=y, step=step,
+        graph=g, t=t, r=r, rbar=rbar, y=y,
         r_mask=mask_of(r), rbar_mask=mask_of(rbar), y_mask=mask_of(y),
     )
 
@@ -180,7 +180,7 @@ def refine(state: ClosureState) -> tuple[ClosureState, "StepRecord"]:
         xs=xs,
         r_after=tuple(sorted(new_r)),
     )
-    nxt = make_state(g, t, new_r, state.step + 1)
+    nxt = make_state(g, t, new_r)
     for y in bad_vertices(nxt):
         if control(nxt, y) < control(state, y) + 1:
             raise IntegrityError(
@@ -200,14 +200,7 @@ class StepRecord:
     r_after: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "r_before": list(self.r_before),
-            "bad": list(self.bad),
-            "traces": [list(tr) for tr in self.traces],
-            "reps": list(self.reps),
-            "xs": list(self.xs),
-            "r_after": list(self.r_after),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -226,38 +219,27 @@ class Certificate:
     verified: bool
 
     def to_json(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "p": self.p,
-            "t": self.t,
-            "r0": list(self.r0),
-            "steps": [s.to_json() for s in self.steps],
-            "r_star": list(self.r_star),
-            "iterations": self.iterations,
-            "bound": self.bound,
-            "edges": self.edges,
-            "verified": self.verified,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
-        steps = tuple(
-            StepRecord(
-                r_before=tuple(s["r_before"]),
-                bad=tuple(s["bad"]),
-                traces=tuple(tuple(tr) for tr in s["traces"]),
-                reps=tuple(s["reps"]),
-                xs=tuple(s["xs"]),
-                r_after=tuple(s["r_after"]),
-            )
-            for s in data["steps"]
-        )
-        return cls(
-            graph6=data["graph6"], p=data["p"], t=data["t"],
-            r0=tuple(data["r0"]), steps=steps, r_star=tuple(data["r_star"]),
-            iterations=data["iterations"], bound=data["bound"],
-            edges=data["edges"], verified=data["verified"],
-        )
+        """Inverse of `to_json`; keys that are not fields are ignored."""
+        cert = _from_fields(cls, data)
+        if not isinstance(cert.steps, tuple):
+            raise ParseError(f"steps must be a JSON array, got {type(cert.steps).__name__}")
+        return replace(cert, steps=tuple(_from_fields(StepRecord, s) for s in cert.steps))
+
+
+def _from_fields(cls, data):
+    """`cls` from the JSON object `data`, one key per field, lists as tuples."""
+    try:
+        return cls(**{f.name: _tuples(data[f.name]) for f in fields(cls)})
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed {cls.__name__} JSON: {exc!r}") from exc
+
+
+def _tuples(x):
+    return tuple(_tuples(v) for v in x) if isinstance(x, (list, tuple)) else x
 
 
 def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Certificate:

@@ -5,7 +5,7 @@ encodings are reproducible run to run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
@@ -119,15 +119,7 @@ class SplitFamilyLayout:
     bulk: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "n": self.n,
-            "hub": list(self.hub),
-            "splits": [list(x) for x in self.splits],
-            "left": [list(x) for x in self.left],
-            "right": [list(x) for x in self.right],
-            "bulk": list(self.bulk),
-        }
+        return asdict(self)
 
 
 def split_family(t: int, n: int) -> tuple[Graph, SplitFamilyLayout]:

@@ -20,7 +20,8 @@ class Graph6Error(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed hypergraph text input."""
+    """Malformed structured input: hypergraph text, or certificate JSON
+    with a missing key or a value of the wrong shape."""
 
 
 class VerificationError(ValueError):

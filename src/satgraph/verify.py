@@ -192,17 +192,19 @@ def dh_semi_bound(n: int, delta: int, p: int) -> Fraction:
 
 def dh_mixed_bound(n: int, p: int, t: int) -> Fraction:
     """The minimum-degree-t specialization of the same counting bound,
-    roughly (t+p-2)n/2; valid once n >= 4t."""
+    (t+p-2)(n-t-1)/2 + t - C(p-2,2); valid once n >= 4t.  It covers
+    K_p-semi-saturated graphs too, as `semi_sat_lower_bound`."""
     return dh_semi_bound(n, t, p)
 
 
 def closure_tower_term(t: int) -> int:
     """The additive constant t(t+1)^(t^(2t^2)) of the closure lower bound.
 
-    Exact arbitrary-precision arithmetic; already astronomical at t = 3.
+    Exact arbitrary-precision arithmetic: 774,840,980 bits at t = 3, about
+    2^64 * log2(5) at t = 4, so t >= 4 is refused before any arithmetic.
     """
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
+    if not 1 <= t <= 3:
+        raise DomainError(f"need 1 <= t <= 3, got {t}")
     return t * (t + 1) ** (t ** (2 * t * t))
 
 
@@ -213,12 +215,7 @@ def closure_tower_bound(n: int, p: int, t: int) -> int:
     return t * n - closure_tower_term(t)
 
 
-def semi_sat_lower_bound(n: int, p: int, t: int) -> Fraction:
-    """(t+p-2)(n-t-1)/2 + t - C(p-2,2): lower bound on the minimum edges of
-    a K_p-semi-saturated graph with minimum degree >= t (n >= 4t)."""
-    _check_p(p)
-    tq = t + p - 2
-    return Fraction(tq * (n - t - 1), 2) + t - comb(p - 2, 2)
+semi_sat_lower_bound = dh_mixed_bound
 
 
 def semi_sat_upper_bound(n: int, p: int, t: int) -> int:
@@ -270,19 +267,8 @@ class VerifyReport:
     witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "n": self.n,
-            "p": self.p,
-            "t": self.t,
-            "edges": self.edges,
-            "min_degree": self.min_degree,
-            "kp_free": self.kp_free,
-            "saturated": self.saturated,
-            "semi_saturated": self.semi_saturated,
-            "bounds": [b.to_json() for b in self.bounds],
-            "witness": self.witness,
-        }
+        # vars, not asdict: no deep copy of the witness and the Fractions
+        return dict(vars(self), bounds=[b.to_json() for b in self.bounds])
 
 
 def _hypergraph_digest(h: Hypergraph) -> str:
@@ -365,18 +351,15 @@ def _check_hypergraph(h: Hypergraph, p: int, t: Optional[int]) -> VerifyReport:
     return report
 
 
+_SEMI_BOUNDS = frozenset({"ehm", "dh_semi", "dh_mixed"})
+
+
 def _raise_if_fatal(report: VerifyReport) -> None:
     """Proven lower bounds cannot fail on a subject this module just
-    verified as saturated (or semi-saturated, for the bounds that cover
-    that case)."""
-    if report.saturated:
-        applicable = {"ehm", "dh_semi", "dh_mixed", "closure_tower", "bollobas"}
-    elif report.semi_saturated:
-        applicable = {"ehm", "dh_semi", "dh_mixed"}
-    else:
-        return
+    verified as saturated; those in `_SEMI_BOUNDS` hold if semi-saturated."""
     for b in report.bounds:
-        if b.name in applicable and not b.satisfied:
+        proven = report.saturated or (report.semi_saturated and b.name in _SEMI_BOUNDS)
+        if proven and not b.satisfied:
             raise FatalInconsistencyError(
                 f"verified-saturated subject violates the {b.name} lower bound "
                 f"({report.edges} < {b.value})",

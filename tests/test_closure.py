@@ -1,6 +1,8 @@
 """Tests for the seed-closure engine, its certificates, and the LYM checker."""
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from satgraph.constructions import (
     petersen,
     split_family,
 )
-from satgraph.errors import DomainError, IntegrityError, VerificationError
+from satgraph.errors import DomainError, IntegrityError, ParseError, VerificationError
 from satgraph.graphs import Graph
 
 from test_graphs import graphs
@@ -167,6 +169,47 @@ def test_verify_certificate_rejects_tampering():
     data = cert.to_json()
     data["steps"][0]["xs"] = [9]
     assert not verify_certificate(Certificate.from_json(data))
+
+
+def test_certificate_json_is_pinned():
+    cert = certify(petersen(), 3, 3)
+    assert list(cert.to_json()["steps"][0]) == [
+        "r_before", "bad", "traces", "reps", "xs", "r_after",
+    ]
+    for cert, digest in [
+        (cert, "92b2fd05514b0b2fb0fe01114f644cdee751dc7f99ff868ef76ed02799b009ea"),
+        (certify(duffus_hanson_t2(9), 3, 2),
+         "9030841eebf59c3537c4a1b7c0d9cead5f2b6a63f4916a6a19c3410d5e949b70"),
+    ]:
+        text = json.dumps(cert.to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert Certificate.from_json(json.loads(text)) == cert
+
+
+def test_malformed_certificate_json_raises_parse_error():
+    cert = certify(petersen(), 3, 3)
+    good = json.loads(json.dumps(cert.to_json()))
+    extra = dict(good, note="ignored")
+    extra["steps"] = [dict(s, note="ignored") for s in good["steps"]]
+    assert Certificate.from_json(extra) == cert
+    data = dict(good)
+    del data["r_star"]
+    with pytest.raises(ParseError, match="r_star"):
+        Certificate.from_json(data)
+    data = json.loads(json.dumps(good))
+    del data["steps"][0]["xs"]
+    with pytest.raises(ParseError, match="xs"):
+        Certificate.from_json(data)
+    for bad_step in ([1, 2], 7, "xs", None):
+        data = json.loads(json.dumps(good))
+        data["steps"][0] = bad_step
+        with pytest.raises(ParseError):
+            Certificate.from_json(data)
+    for not_object in ([good], None, 3):
+        with pytest.raises(ParseError):
+            Certificate.from_json(not_object)
+    with pytest.raises(ParseError):
+        Certificate.from_json(dict(good, steps=7))
 
 
 def test_lym_check_known_families():

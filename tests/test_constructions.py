@@ -1,6 +1,8 @@
 """Tests for the named graph constructions and their edge-count formulas."""
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 from math import comb, ceil
 
@@ -104,6 +106,12 @@ def test_split_family_golden_counts():
         split_family(3, 30)
     with pytest.raises(DomainError):
         split_family(4, 15)
+
+
+def test_split_family_layout_json_is_pinned():
+    text = json.dumps(split_family(5, 40)[1].to_json())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "224ced1c1787912e56d7aed7385cdc5d1e8e8641fe9bcdd4d7c23b7f2c8e8e4c"
 
 
 def test_split_family_layout():

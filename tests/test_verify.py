@@ -1,6 +1,8 @@
 """Tests for saturation checkers, bound evaluators, and reports."""
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +18,7 @@ from satgraph.constructions import (
     petersen,
     semi_sat,
 )
-from satgraph.errors import FatalInconsistencyError
+from satgraph.errors import DomainError, FatalInconsistencyError
 from satgraph.graphs import Graph
 from satgraph.hypergraphs import Hypergraph
 from satgraph.hypersat import bollobas_extremal
@@ -190,6 +192,58 @@ def test_check_bounds_flags_violated_lower_bound_as_fatal(monkeypatch):
     with pytest.raises(FatalInconsistencyError) as err:
         check_bounds(cycle(5), 3, 2)
     assert err.value.report is not None
+
+
+def test_check_bounds_report_keys_and_bound_names():
+    out = check_bounds(petersen(), 3, 3).to_json()
+    assert list(out) == [
+        "subject", "n", "p", "t", "edges", "min_degree",
+        "kp_free", "saturated", "semi_saturated", "bounds", "witness",
+    ]
+    dh9 = duffus_hanson_t2(9)
+    for g, t, names in [
+        (dh9, 2, ["ehm", "dh_semi", "dh_mixed", "closure_tower"]),
+        (dh9, 3, ["ehm", "dh_semi"]),
+        (dh9, None, ["ehm", "dh_semi"]),
+        (complete_bipartite(3, 30), 3, ["ehm", "dh_semi", "dh_mixed"]),
+    ]:
+        assert [b.name for b in check_bounds(g, 3, t).bounds] == names
+
+
+def test_semi_saturated_subject_is_held_only_to_semi_bounds(monkeypatch):
+    k4 = Graph(4, combinations(range(4), 2))
+    assert check_bounds(k4, 3, 2).semi_saturated and not is_saturated(k4, 3)
+    monkeypatch.setattr(verify, "closure_tower_bound", lambda n, p, t: 10**6)
+    rep = check_bounds(k4, 3, 2)
+    assert [b.satisfied for b in rep.bounds if b.name == "closure_tower"] == [False]
+    monkeypatch.setattr(verify, "dh_semi_bound", lambda n, delta, p: 10**6)
+    with pytest.raises(FatalInconsistencyError):
+        check_bounds(k4, 3, 2)
+
+
+def test_closure_tower_term_refuses_t4_at_once():
+    # in a child process under a memory cap, so building the term by
+    # mistake cannot take down the test run
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from satgraph.errors import DomainError\n"
+        "from satgraph.verify import closure_tower_bound, closure_tower_term\n"
+        "for call in (lambda: closure_tower_term(4), lambda: closure_tower_bound(40, 3, 4)):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DomainError:\n"
+        "        print(time.perf_counter() - start)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    times = [float(x) for x in out.stdout.split()]
+    assert len(times) == 2 and max(times) < 1.0
+    with pytest.raises(DomainError):
+        closure_tower_term(0)
 
 
 def brute_alpha(g: Graph) -> int:
