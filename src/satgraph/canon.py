@@ -1,7 +1,7 @@
 """Canonical labeling by colour refinement plus branching.
 
 The canonical form of a graph is the smallest packing of its upper-triangle
-adjacency bits (column-major, the bit order graph6 uses) over all labelings
+adjacency bits (the pair order of `graph6.triangle_bits`) over all labelings
 compatible with iterated colour refinement: branch on the vertices of the
 first non-singleton colour class (one per twin class, below), re-refine,
 and take the minimum over the discrete partitions reached.  Refinement
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import LabelingLimitError
+from .graph6 import triangle_masks
 from .graphs import Graph
 
 __all__ = [
@@ -141,23 +142,15 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
 
 def masks_from_packed(n: int, packed: int) -> list[int]:
-    """Inverse of the packing: rebuild adjacency masks from a packed form."""
+    """Adjacency masks from a packed form; bits above the C(n,2) pairs are ignored."""
     npairs = n * (n - 1) // 2
-    masks = [0] * n
-    idx = 0
-    for k in range(1, n):
-        for j in range(k):
-            if packed >> (npairs - 1 - idx) & 1:
-                masks[j] |= 1 << k
-                masks[k] |= 1 << j
-            idx += 1
-    return masks
+    return triangle_masks(n, format(packed & ((1 << npairs) - 1), f"0{npairs}b"))
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g."""
     n, packed = canonical_form(g)
-    return Graph.from_masks(n, masks_from_packed(n, packed))
+    return Graph._unchecked(n, masks_from_packed(n, packed))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

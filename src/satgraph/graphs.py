@@ -71,6 +71,11 @@ class Graph:
             for u in iter_bits(m):
                 if not masks[u] & (1 << v):
                     raise DomainError(f"adjacency not symmetric at ({u},{v})")
+        return cls._unchecked(n, masks)
+
+    @classmethod
+    def _unchecked(cls, n: int, masks: Sequence[int]) -> Graph:
+        """`from_masks` for masks in range, loop-free and symmetric by construction."""
         g = object.__new__(cls)
         g.n = n
         g._adj = tuple(masks)
@@ -128,7 +133,7 @@ class Graph:
         adj = list(self._adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph.from_masks(self.n, adj)
+        return Graph._unchecked(self.n, adj)
 
     def without_edge(self, u: int, v: int) -> Graph:
         """A copy with edge (u, v) removed; idempotent if absent."""
@@ -137,7 +142,7 @@ class Graph:
         adj = list(self._adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return Graph.from_masks(self.n, adj)
+        return Graph._unchecked(self.n, adj)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

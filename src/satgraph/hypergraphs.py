@@ -17,10 +17,12 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import DomainError, ParseError
+from .graphs import iter_bits
 
 __all__ = [
     "Hypergraph",
     "link_masks",
+    "creates_complete",
     "contains_r_clique",
     "find_r_clique",
     "to_text",
@@ -31,7 +33,7 @@ __all__ = [
 class Hypergraph:
     """Immutable r-uniform hypergraph on vertices 0..n-1 (set semantics)."""
 
-    __slots__ = ("r", "n", "edges", "_eset")
+    __slots__ = ("r", "n", "edges", "_eset", "_links")
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]] = ()):
         if r < 1:
@@ -50,6 +52,7 @@ class Hypergraph:
         self.n = n
         self.edges = tuple(sorted(norm))
         self._eset = frozenset(norm)
+        self._links: Optional[dict[tuple[int, ...], int]] = None
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -76,6 +79,12 @@ class Hypergraph:
             for sub in combinations(e, s):
                 counts[sub] += 1
         return min(counts[sub] for sub in combinations(range(self.n), s))
+
+    def links(self) -> dict[tuple[int, ...], int]:
+        """`link_masks` of the edges, built on first use; do not mutate."""
+        if self._links is None:
+            self._links = link_masks(self.edges, self.r)
+        return self._links
 
     def with_edge(self, e: Iterable[int]) -> Hypergraph:
         return Hypergraph(self.r, self.n, self.edges + (tuple(sorted(e)),))
@@ -110,6 +119,30 @@ def link_masks(edges: Iterable[tuple[int, ...]], r: int) -> dict[tuple[int, ...]
     return links
 
 
+def creates_complete(
+    r: int, eset: set | frozenset, links: dict, cand: tuple[int, ...], p: int
+) -> bool:
+    """Would adding the absent r-set `cand` complete some p-set?
+
+    Filter, then check.  Each extra vertex x of a p-set that `cand`
+    completes makes S + {x} an edge for every (r-1)-subset S of `cand`, so
+    x lies in `common`, the AND of those r links (`links` as built by
+    `link_masks` from the edge set `eset`).  An empty `common` settles it
+    at once; otherwise only the (p-r)-subsets of `common` need the full
+    test that every other r-subset of the p-set is an edge.
+    """
+    common = -1
+    for i in range(r):
+        common &= links.get(cand[:i] + cand[i + 1:], 0)
+        if not common:
+            return False
+    for extra in combinations(iter_bits(common), p - r):
+        s = tuple(sorted(cand + extra))
+        if all(sub == cand or sub in eset for sub in combinations(s, r)):
+            return True
+    return False
+
+
 def find_r_clique(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
     """Lexicographically least p-set whose every r-subset is an edge, or None.
 
@@ -121,7 +154,7 @@ def find_r_clique(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
     r = h.r
     if p < r:
         raise DomainError(f"clique order must be >= r={r}, got {p}")
-    links = link_masks(h.edges, r)
+    links = h.links()
 
     def rec(chosen: tuple[int, ...], cand: int, need: int) -> Optional[tuple[int, ...]]:
         while cand and cand.bit_count() >= need:

@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .hypergraphs import Hypergraph, contains_r_clique, link_masks
-from .verify import _creates_complete
+from .hypergraphs import Hypergraph, contains_r_clique, creates_complete, link_masks
 
 __all__ = [
     "CyclicPartition",
@@ -138,10 +137,10 @@ def greedy_complete(h: Hypergraph, p: int) -> Hypergraph:
         raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
     if contains_r_clique(h, p):
         raise DomainError("input already contains a complete p-set")
-    eset = set(h.edges)
-    links = link_masks(h.edges, h.r)
-    for cand in combinations(range(h.n), h.r):
-        if cand not in eset and not _creates_complete(h.r, eset, links, cand, p):
+    eset = set(h._eset)
+    links = dict(h.links())
+    for cand in h.non_edges():
+        if not creates_complete(h.r, eset, links, cand, p):
             eset.add(cand)
             for sub, bit in link_masks((cand,), h.r).items():
                 links[sub] = links.get(sub, 0) | bit

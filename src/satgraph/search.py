@@ -230,18 +230,13 @@ def _solve(problem: SearchProblem, collect: bool) -> SearchResult:
         return SearchResult(
             problem, "infeasible", None, None, None, budget.nodes, elapsed_ms()
         )
-    witness = Graph.from_masks(n, masks_from_packed(n, min(solutions)))
-    _verify_witness(problem, witness, value)
-    extremal = None
-    if collect:
-        forms = []
-        for packed in sorted(solutions):
-            g = Graph.from_masks(n, masks_from_packed(n, packed))
-            _verify_witness(problem, g, value)
-            forms.append(encode(g))
-        extremal = tuple(forms)
+    chosen = sorted(solutions) if collect else [min(solutions)]
+    graphs = [Graph._unchecked(n, masks_from_packed(n, packed)) for packed in chosen]
+    for g in graphs:
+        _verify_witness(problem, g, value)
+    extremal = tuple(encode(g) for g in graphs) if collect else None
     return SearchResult(
-        problem, "ok", value, witness, encode(witness),
+        problem, "ok", value, graphs[0], encode(graphs[0]),
         budget.nodes, elapsed_ms(), extremal,
     )
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, FatalInconsistencyError
 from .graph6 import encode
-from .graphs import Graph, find_clique, iter_bits
-from .hypergraphs import Hypergraph, find_r_clique, link_masks, to_text
+from .graphs import Graph, find_clique
+from .hypergraphs import Hypergraph, creates_complete, find_r_clique, to_text
 
 __all__ = [
     "is_kp_free",
@@ -140,34 +139,11 @@ def non_saturating_r_set(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
     complete p-set."""
     if p < h.r + 1:
         raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
-    eset = set(h.edges)
-    links = link_masks(h.edges, h.r)
+    links = h.links()
     for cand in h.non_edges():
-        if not _creates_complete(h.r, eset, links, cand, p):
+        if not creates_complete(h.r, h._eset, links, cand, p):
             return cand
     return None
-
-
-def _creates_complete(r: int, eset: set, links: dict, cand: tuple[int, ...], p: int) -> bool:
-    """Would adding the absent r-set `cand` complete some p-set?
-
-    Filter, then check.  Each extra vertex x of a p-set that `cand`
-    completes makes S + {x} an edge for every (r-1)-subset S of `cand`, so
-    x lies in `common`, the AND of those r links (`links` as built by
-    `link_masks` from `eset`).  An empty `common` settles it at once;
-    otherwise only the (p-r)-subsets of `common` need the full test that
-    every other r-subset of the p-set is an edge.
-    """
-    common = -1
-    for i in range(r):
-        common &= links.get(cand[:i] + cand[i + 1:], 0)
-        if not common:
-            return False
-    for extra in combinations(iter_bits(common), p - r):
-        s = tuple(sorted(cand + extra))
-        if all(sub == cand or sub in eset for sub in combinations(s, r)):
-            return True
-    return False
 
 
 def is_r_saturated(h: Hypergraph, p: int) -> bool:

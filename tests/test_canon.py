@@ -63,6 +63,18 @@ def test_masks_from_packed_inverts_packing():
     assert again == (n, packed)
 
 
+@given(st.integers(min_value=0, max_value=9), st.data())
+def test_masks_from_packed_reads_pairs_most_significant_first(n, data):
+    pairs = [(j, k) for k in range(1, n) for j in range(k)]
+    packed = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    bits = format(packed, f"0{len(pairs)}b")
+    expect = Graph(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
+    assert masks_from_packed(n, packed) == list(expect.masks())
+    # bits above the triangle are ignored
+    high = data.draw(st.integers(min_value=-(1 << 70), max_value=1 << 70))
+    assert masks_from_packed(n, packed + (high << len(pairs))) == list(expect.masks())
+
+
 @given(graphs(max_n=6), st.randoms(use_true_random=False))
 def test_invariant_under_relabeling(g, rng):
     sigma = list(range(g.n))

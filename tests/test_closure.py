@@ -171,6 +171,24 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(Certificate.from_json(data))
 
 
+def test_verify_certificate_reads_false_on_wrong_typed_fields():
+    good = json.loads(json.dumps(certify(petersen(), 3, 3).to_json()))
+    assert verify_certificate(Certificate.from_json(good))
+    wrong = ["3", "ab", "Dhc", "?", "", 1.5, None, True, False, [], [1], ["a"], [[0]],
+             {}, {"a": 1}, -1, 0, 2, 10**6]
+    for key in good:
+        for value in wrong:
+            if value == good[key] and type(value) is type(good[key]):
+                continue
+            if key == "verified" and type(value) is bool:
+                continue  # the replay sets this flag; it does not read it
+            try:
+                cert = Certificate.from_json(dict(good, **{key: value}))
+            except ParseError:
+                continue
+            assert verify_certificate(cert) is False, (key, value)
+
+
 def test_certificate_json_is_pinned():
     cert = certify(petersen(), 3, 3)
     assert list(cert.to_json()["steps"][0]) == [

@@ -44,6 +44,10 @@ def test_decode_errors_carry_offsets():
         ("D~\x01", "character '\\x01' outside graph6 range", 2),
         ("~?", "truncated vertex-count header", 2),
         ("D??x", "trailing data beyond 2 data characters", 3),
+        ("Dhd", "nonzero padding bits", 2),
+        ("Dhe", "nonzero padding bits", 2),
+        ("~~??????", "n >= 2**18 not supported", 0),
+        ("~??~" + "?" * 9, "truncated: need 326 data characters, got 9", 13),
     ]
     for text, fragment, offset in cases:
         with pytest.raises(Graph6Error) as err:
@@ -72,3 +76,15 @@ def test_matches_networkx(g):
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
     assert networkx.to_graph6_bytes(nxg, header=False).strip().decode() == text
+
+
+@pytest.mark.parametrize("n", [63, 70, 200])
+def test_long_form_matches_networkx(n):
+    rng = networkx.utils.create_random_state(n)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        nxg = networkx.gnp_random_graph(n, density, seed=rng)
+        g = Graph(n, nxg.edges)
+        text = networkx.to_graph6_bytes(nxg, header=False).strip()
+        assert text[:1] == b"~"
+        assert encode(g).encode() == text
+        assert set(decode(text.decode()).edges()) == {tuple(sorted(e)) for e in nxg.edges}

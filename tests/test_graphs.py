@@ -83,6 +83,19 @@ def test_from_masks_round_trip():
     assert Graph.from_masks(g.n, g.masks()) == g
 
 
+def test_from_masks_rejects_malformed_masks():
+    cases = [
+        ([0b10, 0b1], 3, "expected 3 masks, got 2"),
+        ([0b10, 0b101], 2, "mask of vertex 1 references vertices >= 2"),
+        ([0b11, 0b1], 2, "loop at vertex 0 not allowed"),
+        ([0b10, 0b0, 0b0], 3, "adjacency not symmetric at (1,0)"),
+    ]
+    for masks, n, message in cases:
+        with pytest.raises(DomainError) as err:
+            Graph.from_masks(n, masks)
+        assert str(err.value) == message
+
+
 def test_find_clique_in_mask_is_lex_least():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     adj = g.masks()

@@ -13,7 +13,13 @@ from satgraph.canon import are_isomorphic
 from satgraph.constructions import clique_join_bipartite, complete_bipartite
 from satgraph.errors import DomainError
 from satgraph.graphs import Graph
-from satgraph.hypergraphs import Hypergraph, contains_r_clique, find_r_clique, to_text
+from satgraph.hypergraphs import (
+    Hypergraph,
+    contains_r_clique,
+    find_r_clique,
+    link_masks,
+    to_text,
+)
 from satgraph.hypersat import (
     CyclicPartition,
     bollobas_extremal,
@@ -246,6 +252,16 @@ def test_hypergraph_kernels_match_brute_force(case, extra):
             greedy_complete(h, p)
     else:
         assert set(greedy_complete(h, p).edges) == brute_greedy_complete(n, r, edges, p)
+
+
+def test_link_masks_are_built_once_and_left_unchanged():
+    base, _ = sidorenko_base(3, 2, 10)
+    links = base.links()
+    assert links == link_masks(base.edges, base.r)
+    done = greedy_complete(base, 5)
+    assert base.links() is links
+    assert links == link_masks(base.edges, base.r)
+    assert done.links() == link_masks(done.edges, done.r) != links
 
 
 def test_saturated_hypergraph_rejects_bad_parameters():
