@@ -7,6 +7,8 @@ limit.  Every error also writes a one-line JSON reason to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -45,64 +47,29 @@ from .verify import (
 __all__ = ["main"]
 
 
-def _err(kind: str, detail: str) -> None:
-    print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
+class _UsageError(Exception):
+    """A bad flag, environment variable or file: kind "usage", exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        _err("usage", message)
-        self.exit(2)
+        raise _UsageError(message)
 
 
 def _read_lines(path: Optional[str]) -> list[str]:
-    if path in (None, "-"):
-        return [ln.strip() for ln in sys.stdin if ln.strip()]
-    with open(path) as fh:
-        return [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with (contextlib.nullcontext(sys.stdin) if path in (None, "-") else open(path)) as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path or '-'}: {exc.strerror or exc}") from None
 
 
-def _need(args, label: str, *names: str) -> None:
-    missing = [f"--{x}" for x in names if getattr(args, x) is None]
+def _build(a, label: str, need: tuple[str, ...], build):
+    """`build(a)` from a command family's table, once every flag it needs is set."""
+    missing = [f"--{x}" for x in need if getattr(a, x) is None]
     if missing:
         raise DomainError(f"{label} requires {', '.join(missing)}")
-
-
-def _build_construction(a):
-    name = a.name
-    extra = {}
-    if name == "ehm":
-        _need(a, name, "n", "p")
-        g = cons.ehm_extremal(a.n, a.p)
-    elif name == "bipartite":
-        _need(a, name, "n", "t")
-        g = cons.complete_bipartite(a.t, a.n)
-    elif name == "clique-join":
-        _need(a, name, "n", "p", "t")
-        g = cons.clique_join_bipartite(a.n, a.p, a.t)
-    elif name == "duffus-hanson":
-        _need(a, name, "n")
-        g = cons.duffus_hanson_t2(a.n)
-    elif name == "petersen":
-        g = cons.petersen()
-    elif name == "split-family":
-        _need(a, name, "n", "t")
-        g, layout = cons.split_family(a.t, a.n)
-        extra["layout"] = layout.to_json()
-    elif name == "f-graph":
-        _need(a, name, "n", "t")
-        g = cons.f_graph(a.n, a.t)
-    elif name == "semi-sat":
-        _need(a, name, "n", "p", "t")
-        g = cons.semi_sat(a.n, a.p, a.t)
-    elif name == "cone":
-        g = cons.cone(_read_one_graph(a.input))
-    elif name == "duplicate":
-        _need(a, name, "vertex")
-        g = cons.duplicate_vertex(_read_one_graph(a.input), a.vertex)
-    else:
-        raise DomainError(f"unknown construction {name!r}")
-    return g, extra
+    return build(a)
 
 
 def _read_one_graph(path: Optional[str]):
@@ -112,19 +79,33 @@ def _read_one_graph(path: Optional[str]):
     return decode(lines[0])
 
 
+# name -> (flags it requires, in message order; builder from the parsed
+# args).  Builders look names up when called, so wrappers set later apply.
+_CONSTRUCTIONS = {
+    "ehm": (("n", "p"), lambda a: cons.ehm_extremal(a.n, a.p)),
+    "bipartite": (("n", "t"), lambda a: cons.complete_bipartite(a.t, a.n)),
+    "clique-join": (("n", "p", "t"), lambda a: cons.clique_join_bipartite(a.n, a.p, a.t)),
+    "duffus-hanson": (("n",), lambda a: cons.duffus_hanson_t2(a.n)),
+    "petersen": ((), lambda a: cons.petersen()),
+    "split-family": (("n", "t"), lambda a: cons.split_family(a.t, a.n)),
+    "f-graph": (("n", "t"), lambda a: cons.f_graph(a.n, a.t)),
+    "semi-sat": (("n", "p", "t"), lambda a: cons.semi_sat(a.n, a.p, a.t)),
+    "cone": ((), lambda a: cons.cone(_read_one_graph(a.input))),
+    "duplicate": (("vertex",), lambda a: cons.duplicate_vertex(_read_one_graph(a.input), a.vertex)),
+}
+
+
 def _cmd_construct(a) -> int:
-    g, extra = _build_construction(a)
+    g, layout = _build(a, a.name, *_CONSTRUCTIONS[a.name]), None
+    if isinstance(g, tuple):  # split-family returns its layout too
+        g, layout = g
     if a.format in ("graph6", "both"):
         print(encode(g))
     if a.format in ("json", "both"):
-        payload = {
-            "name": a.name,
-            "graph6": encode(g),
-            "n": g.n,
-            "edges": g.edge_count(),
-            "min_degree": g.min_degree(),
-        }
-        payload.update(extra)
+        payload = {"name": a.name, "graph6": encode(g), "n": g.n,
+                   "edges": g.edge_count(), "min_degree": g.min_degree()}
+        if layout is not None:
+            payload["layout"] = layout.to_json()
         print(json.dumps(payload))
     return 0
 
@@ -146,16 +127,12 @@ def _cmd_verify(a) -> int:
             results = list(pool.map(_verify_line, jobs, chunksize=chunk))
     else:
         results = [_verify_line(job) for job in jobs]
-    failed = False
-    for ok, payload in results:
+    for _, payload in results:
         print(payload)
-        failed = failed or not ok
-    return 1 if failed else 0
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def _parse_seed(spec: str, t: int) -> tuple[int, ...]:
-    if spec == "0":
-        return (0,)
     if spec == "t1":
         return tuple(range(t + 1))
     try:
@@ -172,53 +149,72 @@ def _cmd_certify(a) -> int:
     return 0
 
 
+def _budget(given, var: str, kind: type, default):
+    """A budget flag's value, else its environment variable's, else `default`."""
+    if given is not None:
+        return given
+    text = os.environ.get(var)
+    try:
+        return default if text is None else kind(text)
+    except ValueError:
+        raise _UsageError(f"{var}: invalid {kind.__name__} value: {text!r}") from None
+
+
 def _cmd_search(a) -> int:
     problem = SearchProblem(
         n=a.n, p=a.p, t=a.t, mode=a.mode,
         edge_budget=a.edge_budget,
-        node_budget=a.node_budget,
-        time_budget=a.time_budget,
+        node_budget=_budget(a.node_budget, "SATGRAPH_NODE_BUDGET", int, 10**9),
+        time_budget=_budget(a.time_budget, "SATGRAPH_TIME_BUDGET", float, 600.0),
         iso_reject=not a.no_iso_reject,
         max_n=a.max_n,
     )
-    if a.enumerate:
-        result = enumerate_extremal(problem)
-    elif a.mode == "semi":
-        result = exact_semi_sat(problem)
-    else:
-        result = exact_sat(problem)
+    solve = (enumerate_extremal if a.enumerate
+             else exact_semi_sat if a.mode == "semi" else exact_sat)
+    result = solve(problem)
     payload = json.dumps(result.to_json())
     print(payload)
     if a.out:
-        with open(a.out, "a") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(a.out, "a") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {a.out}: {exc.strerror or exc}") from None
     return 3 if result.status == "resource-limit" else 0
 
 
+def _hyper_base(a):
+    h, part = sidorenko_base(a.r, a.t, a.n)
+    return h, {"partition": part.to_json(), "edges": h.edge_count()}
+
+
+def _hyper_complete(a):
+    base, part = sidorenko_base(a.r, a.t, a.n)
+    h = greedy_complete(base, a.p)
+    return h, {"partition": part.to_json(), "edges": h.edge_count()}
+
+
+def _hyper_saturated(a):
+    h = saturated_hypergraph(a.r, a.p, a.t, a.n)
+    return h, {"edges": h.edge_count(), "universal": list(range(a.n - max(a.p - a.r - 1, 0), a.n))}
+
+
+def _hyper_bollobas(a):
+    h = bollobas_extremal(a.n, a.r, a.p)
+    return h, {"edges": h.edge_count(), "core": list(range(a.p - a.r))}
+
+
+# kind -> (flags it requires, in message order; builder of (hypergraph, meta))
+_HYPER = {
+    "base": (("r", "t", "n"), _hyper_base),
+    "complete": (("r", "t", "n", "p"), _hyper_complete),
+    "saturated": (("r", "t", "n", "p"), _hyper_saturated),
+    "bollobas": (("r", "n", "p"), _hyper_bollobas),
+}
+
+
 def _cmd_hyper(a) -> int:
-    label = f"hyper {a.kind}"
-    if a.kind == "base":
-        _need(a, label, "r", "t", "n")
-        h, part = sidorenko_base(a.r, a.t, a.n)
-        meta = {"partition": part.to_json(), "edges": h.edge_count()}
-    elif a.kind == "complete":
-        _need(a, label, "r", "t", "n", "p")
-        base, part = sidorenko_base(a.r, a.t, a.n)
-        h = greedy_complete(base, a.p)
-        meta = {"partition": part.to_json(), "edges": h.edge_count()}
-    elif a.kind == "saturated":
-        _need(a, label, "r", "t", "n", "p")
-        h = saturated_hypergraph(a.r, a.p, a.t, a.n)
-        meta = {
-            "edges": h.edge_count(),
-            "universal": list(range(a.n - max(a.p - a.r - 1, 0), a.n)),
-        }
-    elif a.kind == "bollobas":
-        _need(a, label, "r", "n", "p")
-        h = bollobas_extremal(a.n, a.r, a.p)
-        meta = {"edges": h.edge_count(), "core": list(range(a.p - a.r))}
-    else:
-        raise DomainError(f"unknown hyper kind {a.kind!r}")
+    h, meta = _build(a, f"hyper {a.kind}", *_HYPER[a.kind])
     sys.stdout.write(to_text(h))
     if a.json:
         print(json.dumps(meta))
@@ -248,13 +244,20 @@ def _cmd_bounds(a) -> int:
 
 
 def _cmd_table(a) -> int:
-    rows = [json.loads(line) for line in _read_lines(a.input)]
     grids: dict[tuple[str, int], dict[tuple[int, int], str]] = {}
-    for row in rows:
-        prob = row["problem"]
-        value = row["value"]
-        cell = {"infeasible": "-", "resource-limit": "?"}.get(value, str(value))
-        grids.setdefault((prob["mode"], prob["p"]), {})[(prob["t"], prob["n"])] = cell
+    marks = {"infeasible": "-", "resource-limit": "?"}
+    for line in _read_lines(a.input):
+        try:
+            row = json.loads(line)
+            value, prob = row["value"], row["problem"]
+            mode, p, t, n = prob["mode"], prob["p"], prob["t"], prob["n"]
+            ok = (type(mode) is str and {type(p), type(t), type(n)} == {int}
+                  and (type(value) is int or value in marks))
+        except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+            ok = False
+        if not ok:
+            raise ParseError(f"not a search result row: {line}")
+        grids.setdefault((mode, p), {})[(t, n)] = marks.get(value, str(value))
     for (mode, p), cells in sorted(grids.items()):
         ts = sorted({t for t, _ in cells})
         ns = sorted({n for _, n in cells})
@@ -269,15 +272,13 @@ def _cmd_table(a) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="satgraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pc = sub.add_parser("construct", help="build a named graph and print it")
-    pc.add_argument("name", choices=[
-        "ehm", "bipartite", "clique-join", "duffus-hanson", "petersen",
-        "split-family", "f-graph", "semi-sat", "cone", "duplicate",
-    ])
+    pc.add_argument("name", choices=_CONSTRUCTIONS)
     pc.add_argument("--n", type=int, help="vertex count")
     pc.add_argument("--p", type=int, help="forbidden clique order")
     pc.add_argument("--t", type=int, help="degree parameter")
@@ -311,21 +312,17 @@ def _build_parser() -> _Parser:
     ps.add_argument("--enumerate", action="store_true",
                     help="list all optimal graphs up to isomorphism (n <= 9)")
     ps.add_argument("--edge-budget", type=int)
-    ps.add_argument("--node-budget", type=int,
-                    default=int(os.environ.get("SATGRAPH_NODE_BUDGET", 10**9)))
-    ps.add_argument("--time-budget", type=float,
-                    default=float(os.environ.get("SATGRAPH_TIME_BUDGET", 600.0)))
+    ps.add_argument("--node-budget", type=int, help="default $SATGRAPH_NODE_BUDGET or 10**9")
+    ps.add_argument("--time-budget", type=float, help="default $SATGRAPH_TIME_BUDGET or 600 s")
     ps.add_argument("--no-iso-reject", action="store_true")
     ps.add_argument("--max-n", type=int, default=10)
     ps.add_argument("--out", help="append the result JSON to this file")
     ps.set_defaults(func=_cmd_search)
 
     ph = sub.add_parser("hyper", help="hypergraph constructions")
-    ph.add_argument("kind", choices=["base", "complete", "saturated", "bollobas"])
-    ph.add_argument("--r", type=int)
-    ph.add_argument("--p", type=int)
-    ph.add_argument("--t", type=int)
-    ph.add_argument("--n", type=int)
+    ph.add_argument("kind", choices=_HYPER)
+    for flag in dict.fromkeys(f for need, _ in _HYPER.values() for f in need):
+        ph.add_argument(f"--{flag}", type=int)
     ph.add_argument("--json", action="store_true", help="also print layout JSON")
     ph.set_defaults(func=_cmd_hyper)
 
@@ -343,31 +340,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# error class -> (stderr kind, or None for none; exit code); first match wins
+_EXITS = {
+    _UsageError: ("usage", 2),
+    Graph6Error: ("graph6", 2),
+    ParseError: ("parse", 2),
+    DomainError: ("domain", 2),
+    VerificationError: ("verification", 1),
+    FatalInconsistencyError: ("fatal-inconsistency", 1),
+    BrokenPipeError: (None, 0),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except Graph6Error as exc:
-        _err("graph6", str(exc))
-        return 2
-    except ParseError as exc:
-        _err("parse", str(exc))
-        return 2
-    except DomainError as exc:
-        _err("domain", str(exc))
-        return 2
-    except VerificationError as exc:
-        _err("verification", str(exc))
-        return 1
-    except FatalInconsistencyError as exc:
-        _err("fatal-inconsistency", str(exc))
-        return 1
-    except BrokenPipeError:
-        return 0
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except tuple(_EXITS) as exc:
+        kind, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        if kind is not None:
+            print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -295,9 +295,9 @@ def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:
             and all(type(x) is int for x in ints + cert.r0 + cert.r_star)):
         return False
     try:
-        if g is None:
-            g = decode(cert.graph6)
-        if g.min_degree() < cert.t or not is_saturated(g, cert.p):
+        named = decode(cert.graph6)
+        g = named if g is None else g
+        if g != named or g.min_degree() < cert.t or not is_saturated(g, cert.p):
             return False
         state = make_state(g, cert.t, cert.r0)
         for rec in cert.steps:

@@ -15,8 +15,12 @@ class Graph6Error(ValueError):
     """Malformed graph6 input.  `offset` is the byte position of the fault."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+        # both in args, so that pickling (a process pool) rebuilds the error
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (offset {self.offset})"
 
 
 class ParseError(ValueError):

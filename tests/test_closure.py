@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,17 @@ def test_verify_certificate_reads_false_on_wrong_typed_fields():
             except ParseError:
                 continue
             assert verify_certificate(cert) is False, (key, value)
+
+
+def test_verify_certificate_checks_the_graph_it_is_given():
+    cert = certify(petersen(), 3, 3)
+    assert verify_certificate(cert, petersen())
+    # the same graph under graph6's optional header still names it
+    assert verify_certificate(replace(cert, graph6=">>graph6<<" + cert.graph6), petersen())
+    for other in ["Dhc", "D~\x01", ""]:
+        assert verify_certificate(replace(cert, graph6=other), petersen()) is False
+        assert verify_certificate(replace(cert, graph6=other)) is False
+    assert verify_certificate(cert, duffus_hanson_t2(10)) is False
 
 
 def test_certificate_json_is_pinned():
