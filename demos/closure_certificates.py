@@ -3,8 +3,11 @@ closure is light, then read off the edge lower bound t(n - |R*|).
 
 Each refinement step is printed as recorded in the certificate: the bad
 vertices, the antichain of their neighbourhood traces inside the seed, the
-chosen representatives, and the vertices pulled in.  The certificate is
-replayed independently at the end.
+chosen representatives, and the vertices pulled in.  At the end
+`verify_certificate` replays the certificate; it re-runs the engine's own
+`refine`, so it is a consistency check, not an independent one.  The
+independent check re-derives every step from the definitions alone:
+`certificate_problem` in tests/oracles.py.
 
 Run:  python3 demos/closure_certificates.py
 """
@@ -32,7 +35,7 @@ def walk(name: str, g, p: int, t: int) -> None:
     print(f"  stabilized after {cert.iterations} steps (limit {2 * t * t});"
           f" R* has {len(cert.r_star)} vertices")
     print(f"  bound t(n - |R*|) = {cert.bound} <= e(G) = {cert.edges};"
-          f" independent replay: {verify_certificate(cert, g)}\n")
+          f" replay: {verify_certificate(cert, g)}\n")
 
 
 def main() -> None:

@@ -58,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_lines(path: Optional[str]) -> list[str]:
     try:
-        with (contextlib.nullcontext(sys.stdin) if path in (None, "-") else open(path)) as fh:
+        # as stdin reads in the default locale: non-UTF-8 bytes become surrogates
+        with (contextlib.nullcontext(sys.stdin) if path in (None, "-")
+              else open(path, encoding="utf-8", errors="surrogateescape")) as fh:
             return [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise _UsageError(f"cannot read {path or '-'}: {exc.strerror or exc}") from None

@@ -18,6 +18,7 @@ control by at least 1/(2t); at most 2t^2 steps can occur.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -52,51 +53,66 @@ __all__ = [
 ]
 
 
+def _seed_mask(g: Graph, seed: Iterable[int]) -> int:
+    seed = tuple(seed)
+    if not all(0 <= v < g.n for v in seed):
+        raise DomainError("seed out of range")
+    return mask_of(seed)
+
+
+def _need_t(t: int) -> None:
+    if t < 1:
+        raise DomainError(f"need t >= 1, got {t}")
+
+
+def _closed(g: Graph, t: int, cur: int) -> int:
+    """Mask of the closure of the seed mask `cur`."""
+    adj, before = g.masks(), -1
+    while cur != before:
+        before = cur
+        for v in range(g.n):
+            if (adj[v] & cur).bit_count() >= t:
+                cur |= 1 << v
+    return cur
+
+
 def closure(g: Graph, t: int, seed: Iterable[int]) -> frozenset[int]:
     """Smallest superset of `seed` closed under "t neighbours inside pull
     you in": repeatedly absorb any vertex with >= t neighbours inside."""
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
-    adj = g.masks()
-    cur = mask_of(seed)
-    if cur & ~((1 << g.n) - 1) or (g.n == 0 and cur):
-        raise DomainError("seed out of range")
-    while True:
-        grown = cur
-        for v in range(g.n):
-            if not cur >> v & 1 and (adj[v] & cur).bit_count() >= t:
-                grown |= 1 << v
-        if grown == cur:
-            return frozenset(iter_bits(cur))
-        cur = grown
+    _need_t(t)
+    return frozenset(iter_bits(_closed(g, t, _seed_mask(g, seed))))
 
 
 @dataclass(frozen=True)
 class ClosureState:
-    """One round of the engine: the seed R, its closure Rbar, the outside Y."""
+    """One round of the engine: masks of the seed R, its closure Rbar, the outside Y."""
 
     graph: Graph
     t: int
-    r: frozenset[int]
-    rbar: frozenset[int]
-    y: frozenset[int]
     r_mask: int
     rbar_mask: int
     y_mask: int
 
+    r = property(lambda self: frozenset(iter_bits(self.r_mask)))
+    rbar = property(lambda self: frozenset(iter_bits(self.rbar_mask)))
+    y = property(lambda self: frozenset(iter_bits(self.y_mask)))
+
+    @cached_property
+    def _bad(self) -> tuple[int, ...]:
+        return tuple(v for v in iter_bits(self.y_mask) if weight(self, v) < 2 * self.t * self.t)
+
+
+def _state(g: Graph, t: int, r_mask: int) -> ClosureState:
+    rbar_mask = _closed(g, t, r_mask)
+    return ClosureState(g, t, r_mask, rbar_mask, ((1 << g.n) - 1) & ~rbar_mask)
+
 
 def make_state(g: Graph, t: int, r: Iterable[int]) -> ClosureState:
-    r = frozenset(r)
-    if not r:
+    r_mask = _seed_mask(g, r)
+    if not r_mask:
         raise DomainError("seed set must be non-empty")
-    if any(not 0 <= v < g.n for v in r):
-        raise DomainError("seed out of range")
-    rbar = closure(g, t, r)
-    y = frozenset(range(g.n)) - rbar
-    return ClosureState(
-        graph=g, t=t, r=r, rbar=rbar, y=y,
-        r_mask=mask_of(r), rbar_mask=mask_of(rbar), y_mask=mask_of(y),
-    )
+    _need_t(t)
+    return _state(g, t, r_mask)
 
 
 def weight(state: ClosureState, v: int) -> int:
@@ -108,80 +124,67 @@ def weight(state: ClosureState, v: int) -> int:
 
 def control(state: ClosureState, v: int) -> int:
     """Scaled control 2t*l(v); always <= weight(v) on Y."""
-    t = state.t
-    g = state.graph
-    a = g.adj_mask(v)
-    inner = state.rbar_mask & ~state.r_mask
-    total = 2 * t * (a & state.r_mask).bit_count() + t * (a & inner).bit_count()
-    for u in iter_bits(a & state.y_mask):
-        total += (g.adj_mask(u) & state.r_mask).bit_count()
-    return total
+    t, adj, r = state.t, state.graph.masks(), state.r_mask
+    a = state.graph.adj_mask(v)
+    total = 2 * t * (a & r).bit_count() + t * (a & state.rbar_mask & ~r).bit_count()
+    return total + sum((adj[u] & r).bit_count() for u in iter_bits(a & state.y_mask))
 
 
 def bad_vertices(state: ClosureState) -> tuple[int, ...]:
-    """Y-vertices with weight below t, ascending."""
-    thr = 2 * state.t * state.t
-    return tuple(v for v in sorted(state.y) if weight(state, v) < thr)
+    """Y-vertices with weight below t, ascending; computed once per state."""
+    return state._bad
+
+
+def _antichain(state: ClosureState) -> tuple[list[int], tuple[int, ...]]:
+    """`trace_antichain` with each trace held as a mask."""
+    bad = bad_vertices(state)
+    if not bad:
+        raise DomainError("no bad vertices; nothing to trace")
+    rep_of: dict[int, int] = {}
+    for y in bad:
+        rep_of.setdefault(state.graph.adj_mask(y) & state.r_mask, y)
+    maximal = [tr for tr in rep_of if not any(tr != o and tr & o == tr for o in rep_of)]
+    maximal.sort(key=lambda tr: tuple(iter_bits(tr)))
+    return maximal, tuple(rep_of[tr] for tr in maximal)
 
 
 def trace_antichain(state: ClosureState) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
     """Maximal elements of {N_R(y) : y bad} plus, per trace, the least bad
     vertex realizing it exactly.  Requires a non-empty bad set."""
-    bad = bad_vertices(state)
-    if not bad:
-        raise DomainError("no bad vertices; nothing to trace")
-    traces_of: dict[frozenset[int], int] = {}
-    for y in bad:
-        tr = frozenset(iter_bits(state.graph.adj_mask(y) & state.r_mask))
-        traces_of.setdefault(tr, y)
-    maximal = [
-        tr for tr in traces_of
-        if not any(tr < other for other in traces_of)
-    ]
-    maximal.sort(key=lambda s: sorted(s))
-    return tuple(maximal), tuple(traces_of[tr] for tr in maximal)
-
-
-def _choose_xs(state: ClosureState, reps: Sequence[int]) -> tuple[int, ...]:
-    xs = []
-    for y in reps:
-        cand = state.graph.adj_mask(y) & state.y_mask
-        if not cand:
-            raise IntegrityError(
-                f"representative {y} has no neighbour outside the closure; "
-                f"the input cannot have minimum degree >= t"
-            )
-        xs.append((cand & -cand).bit_length() - 1)
-    return tuple(xs)
+    traces, reps = _antichain(state)
+    return tuple(frozenset(iter_bits(tr)) for tr in traces), reps
 
 
 def refine(state: ClosureState) -> tuple[ClosureState, "StepRecord"]:
     """One refinement round; checks its own postconditions and records an
     auditable step."""
-    t = state.t
-    g = state.graph
-    traces, reps = trace_antichain(state)
-    if any(len(tr) > t - 1 for tr in traces):
+    t, g = state.t, state.graph
+    traces, reps = _antichain(state)
+    if any(tr.bit_count() > t - 1 for tr in traces):
         raise IntegrityError("a trace has size >= t, so the closure is stale")
-    res = lym_check(traces, len(state.r))
-    if not res.antichain or len(traces) > len(state.r) ** max(t - 1, 0):
+    size = state.r_mask.bit_count()
+    res = lym_check([iter_bits(tr) for tr in traces], size)
+    if not res.antichain or len(traces) > size ** max(t - 1, 0):
         raise IntegrityError("trace family is not a bounded antichain")
-    xs = _choose_xs(state, reps)
-    new_r = set(state.r)
-    for x in xs:
-        new_r.add(x)
-        new_r.update(iter_bits(g.adj_mask(x) & state.rbar_mask))
-    if len(new_r) > len(state.r) + t * len(state.r) ** max(t - 1, 0):
+    xs, r_after = [], state.r_mask
+    for y in reps:
+        cand = g.adj_mask(y) & state.y_mask
+        if not cand:
+            raise IntegrityError(
+                f"representative {y} has no neighbour outside the closure; "
+                f"the input cannot have minimum degree >= t"
+            )
+        x = (cand & -cand).bit_length() - 1
+        xs.append(x)
+        r_after |= (1 << x) | (g.adj_mask(x) & state.rbar_mask)
+    if r_after.bit_count() > size + t * size ** max(t - 1, 0):
         raise IntegrityError("refined seed exceeded its size bound")
     record = StepRecord(
-        r_before=tuple(sorted(state.r)),
-        bad=bad_vertices(state),
-        traces=tuple(tuple(sorted(tr)) for tr in traces),
-        reps=reps,
-        xs=xs,
-        r_after=tuple(sorted(new_r)),
+        r_before=tuple(iter_bits(state.r_mask)), bad=bad_vertices(state),
+        traces=tuple(tuple(iter_bits(tr)) for tr in traces), reps=reps,
+        xs=tuple(xs), r_after=tuple(iter_bits(r_after)),
     )
-    nxt = make_state(g, t, new_r)
+    nxt = _state(g, t, r_after)
     for y in bad_vertices(nxt):
         if control(nxt, y) < control(state, y) + 1:
             raise IntegrityError(
@@ -246,8 +249,7 @@ def _tuples(x):
 def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Certificate:
     """Run the engine to completion on a K_p-saturated graph with minimum
     degree >= t and return the certificate for e(G) >= t(n - |R*|)."""
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
+    _need_t(t)
     if g.n == 0:
         raise DomainError("empty graph")
     if g.min_degree() < t:
@@ -262,33 +264,28 @@ def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Cer
     # a bad input; it would disprove the bound argument itself.
     while bad_vertices(state):
         if len(steps) >= limit:
-            raise FatalInconsistencyError(
-                f"did not stabilize within {limit} refinements"
-            )
+            raise FatalInconsistencyError(f"did not stabilize within {limit} refinements")
         try:
             state, record = refine(state)
         except IntegrityError as exc:
             raise FatalInconsistencyError(str(exc)) from exc
         steps.append(record)
-    r_star = tuple(sorted(state.r))
+    r_star = tuple(iter_bits(state.r_mask))
     bound = t * (g.n - len(r_star))
     edges = g.edge_count()
     if bound > edges:
-        raise FatalInconsistencyError(
-            f"certified bound {bound} exceeds edge count {edges}"
-        )
+        raise FatalInconsistencyError(f"certified bound {bound} exceeds edge count {edges}")
     cert = Certificate(
-        graph6=encode(g), p=p, t=t, r0=seed, steps=tuple(steps),
-        r_star=r_star, iterations=len(steps), bound=bound, edges=edges,
-        verified=False,
+        graph6=encode(g), p=p, t=t, r0=seed, steps=tuple(steps), r_star=r_star,
+        iterations=len(steps), bound=bound, edges=edges, verified=False,
     )
     return replace(cert, verified=verify_certificate(cert, g))
 
 
 def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:
-    """Independent replay: rebuild every step from the seed and compare all
-    recorded fields, then re-check the final bound.  A certificate with a
-    field of the wrong type or range reads False."""
+    """Re-run `refine` from the seed, compare every recorded field, then
+    re-check the final bound; a field of the wrong type or range reads False.
+    Not independent of the engine: `tests/oracles.certificate_problem` is."""
     ints = (cert.p, cert.t, cert.iterations, cert.bound, cert.edges)
     if not (isinstance(cert.graph6, str) and type(cert.verified) is bool
             and isinstance(cert.r0, tuple) and isinstance(cert.r_star, tuple)
@@ -309,7 +306,7 @@ def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:
         return False
     return (
         not bad_vertices(state)
-        and tuple(sorted(state.r)) == cert.r_star
+        and tuple(iter_bits(state.r_mask)) == cert.r_star
         and cert.iterations == len(cert.steps)
         and cert.bound == cert.t * (g.n - len(cert.r_star))
         and cert.edges == g.edge_count() >= cert.bound

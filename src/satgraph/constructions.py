@@ -79,18 +79,16 @@ def clique_join_bipartite(n: int, p: int, t: int) -> Graph:
 
 def duffus_hanson_t2(n: int) -> Graph:
     """The unique minimum triangle-saturated graph with delta = 2: a 5-cycle
-    with one vertex blown up to an independent set.
+    with one vertex blown up to an independent set.  2n - 5 edges.  n >= 5.
 
-    Built literally: start from the 5-cycle and repeatedly duplicate the
-    lexicographically smallest degree-2 vertex.  2n - 5 edges.  n >= 5.
+    By definition: start from the 5-cycle 0..4 and repeatedly duplicate the
+    least degree-2 vertex.  Vertex 0 keeps degree 2 (its copies join only 1
+    and 4), so it is that vertex every time: the 5-cycle plus copies 5..n-1.
     """
     if n < 5:
         raise DomainError(f"need n >= 5, got {n}")
-    g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    while g.n < n:
-        v = next(v for v in range(g.n) if g.degree(v) == 2)
-        g = duplicate_vertex(g, v)
-    return g
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    return Graph(n, cycle + [(u, v) for v in range(5, n) for u in (1, 4)])
 
 
 def petersen() -> Graph:

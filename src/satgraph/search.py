@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 from .canon import canonical_masks, masks_from_packed
@@ -73,6 +73,8 @@ class SearchProblem:
             raise DomainError("node budget must be positive")
         if self.time_budget <= 0:
             raise DomainError("time budget must be positive")
+        if not isfinite(self.time_budget):
+            raise DomainError(f"time budget must be finite, got {self.time_budget}")
         if self.edge_budget is not None and self.edge_budget < 0:
             raise DomainError("edge budget must be non-negative")
         if self.max_n < 1:

@@ -2,14 +2,24 @@
 
 Everything here is deliberately naive: cliques are found by scanning all
 vertex subsets, saturation is checked straight from its definition, optimal
-edge counts come from scanning every graph on n vertices, and isomorphism
-is decided by trying every permutation.  None of it shares code with the
-package beyond reading adjacency masks, so agreement is meaningful.
+edge counts come from scanning every graph on n vertices, isomorphism is
+decided by trying every permutation, and closure certificates are re-derived
+step by step from the definitions of closure, weight and trace (their
+saturation check uses a plain take-or-drop clique branching, since those
+graphs reach a few hundred vertices).  None of it shares code with the
+package beyond reading adjacency masks (and decoding a certificate's graph6
+string), so agreement is meaningful.
 """
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Optional
 
+from satgraph.errors import Graph6Error
+from satgraph.graph6 import decode
 from satgraph.graphs import Graph
 
 
@@ -168,3 +178,106 @@ def brute_greedy_complete(n: int, r: int, edges: set[tuple[int, ...]], p: int):
         if cand not in done and not _brute_completes(n, r, done, cand, p):
             done.add(cand)
     return done
+
+
+def _mask_has_clique(adj, cand: int, k: int) -> bool:
+    """Does the vertex set `cand` (a bitmask) contain a k-clique?  Branches
+    on the highest vertex: take it (and keep its neighbours) or drop it."""
+    if k <= 0:
+        return True
+    while cand.bit_count() >= k:
+        v = cand.bit_length() - 1
+        cand &= ~(1 << v)
+        if _mask_has_clique(adj, cand & adj[v], k - 1):
+            return True
+    return False
+
+
+@lru_cache(maxsize=64)
+def clique_saturated(g: Graph, p: int) -> bool:
+    """Definitional K_p-saturation, fast enough for a few hundred vertices:
+    no p-clique, and every non-edge uv has a (p-2)-clique in N(u) & N(v)."""
+    adj = g.masks()
+    if p < 2 or _mask_has_clique(adj, (1 << g.n) - 1, p):
+        return False
+    return all(
+        _mask_has_clique(adj, adj[u] & adj[v], p - 2)
+        for u, v in combinations(range(g.n), 2)
+        if not adj[u] >> v & 1
+    )
+
+
+def certificate_problem(data: dict, g: Graph) -> Optional[str]:
+    """Judge a closure certificate, given as its JSON object, against the
+    graph `g` it should name, from the definitions alone.  Returns the first
+    check that fails, or None when the certificate holds.
+
+    For every step it recomputes, from r_before: the closure Rbar (absorb
+    any vertex with >= t neighbours inside until none is left), Y = V -
+    Rbar, the bad set {y in Y : deg_Rbar(y) + deg_Y(y)/2 < t}, the maximal
+    traces N(y) & R over bad y, the least bad vertex with each trace, each
+    representative's least Y-neighbour x, and r_after = R | xs | (N(xs) &
+    Rbar).  It then checks that the final seed leaves no bad vertex, and
+    the bound t(n - |R*|) against the edge count.  `verified` is not read.
+    """
+    data = json.loads(json.dumps(data))  # tuples, as `to_json` leaves them, to lists
+    try:
+        if decode(data["graph6"]) != g:
+            return "graph6 does not name the graph"
+    except (Graph6Error, TypeError):
+        return "graph6 does not decode"
+    p, t = data["p"], data["t"]
+    ints = [p, t, data["iterations"], data["bound"], data["edges"]]
+    if not isinstance(data["r0"], list) or not all(type(x) is int for x in ints + data["r0"]):
+        return "a field has the wrong type"
+    if t < 1 or any(len(g.neighbors(v)) < t for v in range(g.n)):
+        return "minimum degree below t"
+    if not clique_saturated(g, p):
+        return "graph is not K_p-saturated"
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+
+    def split(r):
+        """(Rbar, Y, bad) for the seed r."""
+        rbar = set(r)
+        while True:
+            pulled = {v for v in range(g.n) if v not in rbar and len(nbrs[v] & rbar) >= t}
+            if not pulled:
+                break
+            rbar |= pulled
+        y = set(range(g.n)) - rbar
+        weight = {v: len(nbrs[v] & rbar) + Fraction(len(nbrs[v] & y), 2) for v in y}
+        return rbar, y, sorted(v for v in y if weight[v] < t)
+
+    r = set(data["r0"])
+    if not r or not r <= set(range(g.n)):
+        return "r0 is empty or out of range"
+    for i, step in enumerate(data["steps"]):
+        rbar, y, bad = split(r)
+        if step["r_before"] != sorted(r):
+            return f"step {i}: r_before"
+        if not bad or step["bad"] != bad:
+            return f"step {i}: bad set"
+        trace = {v: nbrs[v] & r for v in bad}
+        family = set(trace.values())
+        maximal = sorted((sorted(a) for a in family if not any(a < b for b in family)))
+        if step["traces"] != maximal:
+            return f"step {i}: traces"
+        reps = [min(v for v in bad if trace[v] == set(a)) for a in maximal]
+        if step["reps"] != reps:
+            return f"step {i}: reps"
+        if any(not nbrs[v] & y for v in reps):
+            return f"step {i}: a representative has no Y-neighbour"
+        xs = [min(nbrs[v] & y) for v in reps]
+        if step["xs"] != xs:
+            return f"step {i}: xs"
+        r = r | set(xs) | {u for x in xs for u in nbrs[x] & rbar}
+        if step["r_after"] != sorted(r):
+            return f"step {i}: r_after"
+    if split(r)[2]:
+        return "the final seed leaves a bad vertex"
+    if data["r_star"] != sorted(r) or data["iterations"] != len(data["steps"]):
+        return "r_star or iterations"
+    edges = sum(len(a) for a in nbrs) // 2
+    if data["bound"] != t * (g.n - len(r)) or data["edges"] != edges or edges < data["bound"]:
+        return "bound or edge count"
+    return None

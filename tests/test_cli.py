@@ -6,9 +6,12 @@ import hashlib
 import io
 import json
 import pickle
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import satgraph.canon
 from satgraph import cli
@@ -314,6 +317,38 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path):
             assert (code, out) == (2, "")
             assert json.loads(err) == {
                 "error": "usage", "detail": f"cannot read {path}: {reason}"}
+
+
+def test_non_finite_time_budget_is_a_domain_error(monkeypatch):
+    argv = ["search", "--n", "10", "--p", "3", "--t", "2", "--node-budget", "2000000"]
+    for text in ("nan", "inf", "Infinity"):
+        code, out, err = run(argv + ["--time-budget", text])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "domain"
+        assert "time budget must be finite" in json.loads(err)["detail"]
+        monkeypatch.setenv("SATGRAPH_TIME_BUDGET", text)
+        assert run(argv) == (code, out, err)
+        monkeypatch.delenv("SATGRAPH_TIME_BUDGET")
+
+
+def test_non_utf8_input_file_reads_like_stdin(tmp_path):
+    path = tmp_path / "bytes.g6"
+    path.write_bytes(b"\xff\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONIOENCODING="utf-8:surrogateescape")
+    for argv in (["certify", "--p", "3", "--t", "2"], ["verify", "--p", "3", "--t", "2"]):
+        cmd = [sys.executable, "-m", "satgraph.cli"] + argv
+        from_file = subprocess.run(cmd + ["--input", str(path)], capture_output=True,
+                                   env=env, timeout=60)
+        from_stdin = subprocess.run(cmd, input=b"\xff\n", capture_output=True,
+                                    env=env, timeout=60)
+        assert (from_file.returncode, from_file.stdout) == (2, b"")
+        assert (from_stdin.returncode, from_stdin.stdout) == (2, b"")
+        assert from_file.stderr == from_stdin.stderr
+        assert json.loads(from_file.stderr) == {
+            "error": "graph6",
+            "detail": "character '\\udcff' outside graph6 range (offset 0)"}
 
 
 def test_unwritable_search_out_is_a_usage_error(tmp_path):

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -31,8 +33,10 @@ from satgraph.constructions import (
     split_family,
 )
 from satgraph.errors import DomainError, IntegrityError, ParseError, VerificationError
+from satgraph.graph6 import decode, encode
 from satgraph.graphs import Graph
 
+from oracles import all_graphs, brute_is_saturated, certificate_problem, clique_saturated
 from test_graphs import graphs
 
 
@@ -274,3 +278,121 @@ def test_lym_sum_of_antichain_is_at_most_one(case):
     res = lym_check(dedup, m)
     if res.antichain:
         assert res.lym_sum <= 1
+
+
+def _maximal_triangle_free(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    g = Graph(n)
+    for u, v in pairs:
+        if not g.adj_mask(u) & g.adj_mask(v):
+            g = g.with_edge(u, v)
+    return g
+
+
+def test_definitional_checker_accepts_engine_certificates():
+    rng = random.Random(5)
+    cases = [(g, p, t) for g, p, t, *_ in CERTIFICATE_GOLDENS]
+    cases += [(_maximal_triangle_free(rng, rng.randint(5, 12)), 3, t)
+              for _ in range(20) for t in (1, 2, 3)]
+    accepted = 0
+    for g, p, t in cases:
+        for seed in (None, (0,), tuple(range(min(t + 1, g.n))), (g.n - 1,)):
+            try:
+                cert = certify(g, p, t, seed)
+            except VerificationError:
+                continue
+            data = json.loads(json.dumps(cert.to_json()))
+            assert certificate_problem(data, g) is None, (encode(g), p, t, seed)
+            assert certificate_problem(cert.to_json(), g) is None
+            assert cert.verified
+            accepted += 1
+    assert accepted >= 60
+
+
+def test_checker_saturation_agrees_with_brute_force():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for p in (3, 4):
+                assert clique_saturated(g, p) == brute_is_saturated(g, p), (encode(g), p)
+
+
+def _single_field_mutations(data: dict, n: int):
+    """(label, JSON) for every single-field change of a certificate: each
+    top-level int moved by one; one element of r0, r_star and each step
+    field changed, dropped or added; a step dropped or repeated; graph6
+    naming another graph or none.  `verified` and re-encodings of the same
+    graph are left out: neither changes what the certificate claims."""
+    def absent(xs):
+        return min(set(range(n + 1)) - set(xs))
+
+    def variants(xs, nested):
+        for i in {0, len(xs) - 1} if xs else ():
+            new = xs[i] + [absent(xs[i])] if nested else absent(xs)
+            yield f"[{i}] changed", xs[:i] + [new] + xs[i + 1:]
+            yield f"[{i}] dropped", xs[:i] + xs[i + 1:]
+        yield "added", xs + [[absent([])] if nested else absent(xs)]
+
+    def copy():
+        return json.loads(json.dumps(data))
+
+    for key in ("p", "t", "iterations", "bound", "edges"):
+        for delta in (-1, 1):
+            yield f"{key}{delta:+d}", dict(copy(), **{key: data[key] + delta})
+    for key in ("r0", "r_star"):
+        for label, value in variants(data[key], False):
+            yield f"{key} {label}", dict(copy(), **{key: value})
+    for i, step in enumerate(data["steps"]):
+        for key in step:
+            for label, value in variants(step[key], key == "traces"):
+                mutant = copy()
+                mutant["steps"][i][key] = value
+                yield f"steps[{i}].{key} {label}", mutant
+    if data["steps"]:
+        yield "step dropped", dict(copy(), steps=data["steps"][:-1])
+        yield "step repeated", dict(copy(), steps=data["steps"] + data["steps"][-1:])
+    g = decode(data["graph6"])
+    u, v = next(iter(g.edges()))
+    for other in (encode(g.without_edge(u, v)), data["graph6"][:-1], "Dhc"):
+        yield "graph6 " + other[:8], dict(copy(), graph6=other)
+
+
+def test_every_single_field_mutation_is_rejected():
+    for g, p, t, *_ in CERTIFICATE_GOLDENS:
+        good = json.loads(json.dumps(certify(g, p, t).to_json()))
+        assert certificate_problem(good, g) is None
+        mutants = list(_single_field_mutations(good, g.n))
+        assert len(mutants) >= 40
+        for label, data in mutants:
+            assert data != good, label
+            assert certificate_problem(data, g) is not None, label
+            cert = Certificate.from_json(data)
+            assert verify_certificate(cert, g) is False, label
+            assert verify_certificate(cert) is False, label
+
+
+def test_closure_refuses_negative_seed_as_out_of_range():
+    g = petersen()
+    for seed in ([-1], [0, 10]):
+        with pytest.raises(DomainError, match="seed out of range"):
+            closure(g, 2, seed)
+        with pytest.raises(DomainError, match="seed out of range"):
+            make_state(g, 2, seed)
+    with pytest.raises(DomainError, match="need t >= 1"):
+        closure(g, 0, [-1])
+
+
+def test_state_holds_masks_and_computes_its_bad_set_once(monkeypatch):
+    engine = importlib.import_module("satgraph.closure")  # the package re-exports `closure`
+    state = make_state(complete_bipartite(2, 6), 3, [0])
+    assert (state.r_mask, state.rbar_mask, state.y_mask) == (0b1, 0b1, 0b111110)
+    assert [f.name for f in fields(state)] == ["graph", "t", "r_mask", "rbar_mask", "y_mask"]
+    calls = []
+    real = engine.weight
+    monkeypatch.setattr(engine, "weight", lambda s, v: calls.append(v) or real(s, v))
+    assert bad_vertices(state) == bad_vertices(state) == (1, 2, 3, 4, 5)
+    trace_antichain(state)
+    nxt, record = refine(state)
+    assert record.bad == (1, 2, 3, 4, 5)
+    bad_vertices(nxt)
+    assert len(calls) == len(state.y) + len(nxt.y)

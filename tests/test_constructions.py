@@ -21,6 +21,7 @@ from satgraph.constructions import (
     split_family,
 )
 from satgraph.errors import DomainError
+from satgraph.graph6 import encode
 from satgraph.graphs import Graph
 from satgraph.verify import is_kp_free, is_saturated, is_semi_saturated
 
@@ -75,6 +76,15 @@ def test_duffus_hanson_t2():
     assert duffus_hanson_t2(5) == Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     with pytest.raises(DomainError):
         duffus_hanson_t2(4)
+
+
+def test_duffus_hanson_t2_matches_its_duplication_definition():
+    # the definition, kept as the reference: duplicate the least degree-2
+    # vertex of the 5-cycle until n vertices
+    g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    for n in range(5, 121):
+        assert encode(duffus_hanson_t2(n)) == encode(g), n
+        g = duplicate_vertex(g, next(v for v in range(g.n) if g.degree(v) == 2))
 
 
 def test_petersen():

@@ -162,6 +162,15 @@ def test_problem_validation():
         exact_sat(SearchProblem(6, 2, 1))
 
 
+def test_time_budget_must_be_finite():
+    for budget in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="time budget must be finite"):
+            SearchProblem(10, 3, 2, time_budget=budget)
+    for budget in (0, -1.0, float("-inf")):
+        with pytest.raises(DomainError, match="^time budget must be positive$"):
+            SearchProblem(10, 3, 2, time_budget=budget)
+
+
 def test_node_budget_reports_resource_limit():
     r = exact_sat(SearchProblem(6, 3, 2, node_budget=10))
     assert r.status == "resource-limit"
