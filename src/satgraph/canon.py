@@ -18,6 +18,15 @@ far, so it maps the subtree under u onto the subtree under v leaf by leaf,
 and both reach the same set of packed values.  The minimum, and hence the
 form, is the one the full branch gives; only the labeling returned for a
 tied minimum may differ.
+
+Orbits: the automorphism group is generated by the twin transpositions the
+branch skips together with the maps between visited leaves that tie the
+least packed value.  In the full branch the leaves of least value are the
+images of one of them under every automorphism; every skipped subtree is
+the image of a visited one under a twin transposition, so each of those
+leaves is a product of twin transpositions applied to a visited leaf of
+the same value (McKay & Piperno, "Practical graph isomorphism II", JSC 60,
+2014, for the method).
 """
 from __future__ import annotations
 
@@ -94,16 +103,31 @@ def _pack(n: int, adj: Sequence[int], pos: Sequence[int]) -> int:
     return val
 
 
-def canonical_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Return (labeling, packed) for the canonical labeling of the graph
-    given by adjacency masks.  labeling[i] is the original vertex placed
-    at position i."""
+def _labelling(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int, list[int]]:
+    """(labeling, packed, orbit) for the canonical labeling of the graph
+    given by adjacency masks; orbit[v] is the least vertex of v's
+    automorphism orbit."""
     if n == 0:
-        return (), 0
+        return (), 0, []
     cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
     best_packed: int | None = None
     best_pos: tuple[int, ...] | None = None
     visited = 0
+    # union-find forest over the orbits found so far; every link points
+    # to a smaller vertex
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    def join(u: int, v: int) -> None:
+        u, v = find(u), find(v)
+        if u < v:
+            root[v] = u
+        else:
+            root[u] = v
 
     def rec(cells: list[list[int]]) -> None:
         nonlocal best_packed, best_pos, visited
@@ -116,6 +140,11 @@ def canonical_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
             if best_packed is None or packed < best_packed:
                 best_packed = packed
                 best_pos = tuple(pos)
+            elif packed == best_packed:
+                # best_pos[i] -> pos[i] is an automorphism
+                for u, v in zip(best_pos, pos):
+                    if u != v:
+                        join(u, v)
             return
         i = 0
         while len(cells[i]) == 1:
@@ -123,16 +152,29 @@ def canonical_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
         target = cells[i]
         branched: list[int] = []
         for v in target:
-            if any(adj[u] & ~(1 << u | 1 << v) == adj[v] & ~(1 << u | 1 << v) for u in branched):
-                continue
-            branched.append(v)
-            rest = [w for w in target if w != v]
-            # cells is stable, so only {v} is fresh: rest is the last part
-            rec(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:], [1 << v]))
+            for u in branched:
+                if adj[u] & ~(1 << u | 1 << v) == adj[v] & ~(1 << u | 1 << v):
+                    join(u, v)
+                    break
+            else:
+                branched.append(v)
+                rest = [w for w in target if w != v]
+                # cells is stable, so only {v} is fresh: rest is the last part
+                rec(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:], [1 << v]))
 
     rec(cells)
     assert best_pos is not None and best_packed is not None
-    return best_pos, best_packed
+    for v in range(n):  # root[root[v]] is final already, as root[v] <= v
+        root[v] = root[root[v]]
+    return best_pos, best_packed, root
+
+
+def canonical_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Return (labeling, packed) for the canonical labeling of the graph
+    given by adjacency masks.  labeling[i] is the original vertex placed
+    at position i."""
+    labeling, packed, _ = _labelling(n, adj)
+    return labeling, packed
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:

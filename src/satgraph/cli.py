@@ -173,7 +173,7 @@ def _cmd_search(a) -> int:
     )
     solve = (enumerate_extremal if a.enumerate
              else exact_semi_sat if a.mode == "semi" else exact_sat)
-    result = solve(problem)
+    result = solve(problem, a.threads)
     payload = json.dumps(result.to_json())
     print(payload)
     if a.out:
@@ -274,6 +274,21 @@ def _cmd_table(a) -> int:
     return 0
 
 
+def _threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
+
+
+def _add_threads(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
+                        help="worker processes (default: one per CPU)")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="satgraph", description=__doc__.splitlines()[0])
@@ -295,7 +310,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--semi", action="store_true",
                     help="judge semi-saturation instead of saturation")
     pv.add_argument("--input", help="graph6 file (default stdin)")
-    pv.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_threads(pv)
     pv.set_defaults(func=_cmd_verify)
 
     pf = sub.add_parser("certify", help="run the closure engine, print certificates")
@@ -319,6 +334,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--no-iso-reject", action="store_true")
     ps.add_argument("--max-n", type=int, default=10)
     ps.add_argument("--out", help="append the result JSON to this file")
+    _add_threads(ps)
     ps.set_defaults(func=_cmd_search)
 
     ph = sub.add_parser("hyper", help="hypergraph constructions")

@@ -13,15 +13,45 @@ budget, total degree deficit against the remaining edge budget,
 per-vertex reachability of degree t, the degree cap 2m - t(n-1), and
 (for the saturated modes) refusing any edge that would complete a
 p-clique.
+
+Isomorph rejection is canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  Column k decides the
+edges from vertex k to 0..k-1, so each completed column adds one vertex
+to the prefix.  A completed k-vertex prefix is kept iff vertex k-1 lies
+in the automorphism orbit of the vertex its canonical labelling puts
+last, and, among the children of one kept prefix, only the first of
+each isomorphism class is kept.
+
+Soundness: every pruning rule is invariant under relabelling the prefix,
+and it survives deleting a vertex: each rule tests a quantity that moves
+one way along a path, so no rule cuts a node above a solution.  A viable
+prefix (one that some solution extends) thus stays viable when
+relabelled, and so does its canonical parent, the prefix less its
+canonically last vertex: relabel the solution to put that vertex last.
+By induction on k, some prefix of each viable class is kept: the
+canonical parent's class has a kept representative P, and the child of
+P that adds the deleted vertex back is isomorphic to the prefix, with
+vertex k-1 in the orbit the test asks for.  The sibling set removes the
+children that are equivalent under P's automorphisms, which the orbit
+test lets through.
+
+No state is shared between subtrees, so a level is split: its kept
+prefixes are grown one vertex at a time until there are enough subtrees
+to share, and those run in worker processes or in process, one task
+each.  The canonical solution sets merge by union, and the node count
+is the size of one fixed tree, whatever the worker count.
 """
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Optional
+from typing import Iterator, Optional
 
-from .canon import canonical_masks, masks_from_packed
+from .canon import _labelling, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
@@ -113,73 +143,202 @@ class SearchResult:
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit", "deadline")
+    """Nodes and time left to one process's share of a search.  `stop` is
+    the pool's flag: once set, the worker's task ends as if out of time."""
 
-    def __init__(self, node_budget: int, deadline: float):
+    __slots__ = ("nodes", "limit", "deadline", "stop")
+
+    def __init__(self, node_budget: int, deadline: float, stop=None):
         self.nodes = 0
         self.limit = node_budget
         self.deadline = deadline
+        self.stop = stop
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExceededError("node budget exhausted")
-        if not self.nodes & 8191 and time.monotonic() > self.deadline:
+        if not self.nodes & 8191 and (
+            time.monotonic() > self.deadline or self.stop is not None and self.stop.is_set()
+        ):
             raise BudgetExceededError("time budget exhausted")
 
+    def charge(self, nodes: int):
+        """Add the nodes a subtree task spent."""
+        self.nodes += nodes
+        if self.nodes > self.limit:
+            raise BudgetExceededError("node budget exhausted")
 
-def _run_level(
-    problem: SearchProblem, m: int, budget: _Budget, solutions: set[int]
-) -> None:
-    """Collect the canonical forms of every level-m solution into
-    `solutions` (left empty iff level m is infeasible)."""
+
+_VISIT, _TAKE, _UNDO = range(3)
+
+
+def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: _Budget):
+    """Walk one level-m subtree: from the root when `state` is None, else
+    from a prefix that an earlier walk returned.  Returns (solutions, frontier):
+    the canonical forms of the solutions found, and the accepted prefixes
+    of `stop` vertices, where the walk halts (never, when `stop` is None)."""
     n, p, t = problem.n, problem.p, problem.t
     free_mode = problem.mode != "semi"
     exact_mode = problem.mode == "sat-exact"
+    iso = problem.iso_reject
     pairs = [(j, k) for k in range(1, n) for j in range(k)]
     total = len(pairs)
-    stage_at = {comb(k, 2): k for k in range(3, n)} if problem.iso_reject else {}
     capd = min(n - 1, 2 * m - t * (n - 1))
     adj = [0] * n
     deg = [0] * n
-    seen: set[tuple[int, int]] = set()
+    solutions: set[int] = set()
+    frontier: list[tuple] = []
+    # a loop over an explicit stack of (op, pair index, edges, deficit,
+    # sibling set), not recursion: CPython maps and unmaps a frame chunk
+    # each time a deep recursion crosses a chunk boundary
+    stack: list[tuple] = []
 
-    def rec(idx: int, e: int, deficit: int) -> None:
-        budget.tick()
-        if e + (total - idx) < m or deficit > 2 * (m - e):
-            return
-        if idx == total:
-            if exact_mode and min(deg) != t:
-                return
-            if saturation_holds_masks(n, adj, p):
-                solutions.add(canonical_masks(n, adj)[1])
-            return
-        k_prefix = stage_at.get(idx)
-        if k_prefix is not None:
-            key = (k_prefix, canonical_masks(k_prefix, adj[:k_prefix])[1])
-            if key in seen:
-                return
-            seen.add(key)
+    def expand(idx: int, e: int, deficit: int, siblings: set[int]) -> None:
+        """Push the children of the node before pair idx: take it, then skip it."""
         j, k = pairs[idx]
-        if e < m and deg[j] < capd and deg[k] < capd:
-            blocked = free_mode and find_clique_in_mask(
-                adj, adj[j] & adj[k], p - 2
-            ) is not None
-            if not blocked:
-                adj[j] |= 1 << k
-                adj[k] |= 1 << j
-                gain = (deg[j] < t) + (deg[k] < t)
-                deg[j] += 1
-                deg[k] += 1
-                rec(idx + 1, e + 1, deficit - gain)
+        if deg[j] + (n - 1 - k) >= t and deg[k] + (n - 2 - j) >= t:
+            stack.append((_VISIT, idx + 1, e, deficit, siblings))
+        if e < m and deg[j] < capd and deg[k] < capd and not (
+            free_mode and find_clique_in_mask(adj, adj[j] & adj[k], p - 2) is not None
+        ):
+            stack.append((_TAKE, idx, e, deficit, siblings))
+
+    if state is None:
+        stack.append((_VISIT, 0, 0, t * n, set()))
+    else:
+        idx, e, deficit, adj[:], deg[:] = state
+        expand(idx, e, deficit, set())
+    while stack:
+        op, idx, e, deficit, siblings = stack.pop()
+        if op != _VISIT:
+            j, k = pairs[idx]
+            if op == _UNDO:
                 deg[j] -= 1
                 deg[k] -= 1
                 adj[j] &= ~(1 << k)
                 adj[k] &= ~(1 << j)
-        if deg[j] + (n - 1 - k) >= t and deg[k] + (n - 2 - j) >= t:
-            rec(idx + 1, e, deficit)
+                continue
+            stack.append((_UNDO, idx, e, deficit, siblings))
+            deficit -= (deg[j] < t) + (deg[k] < t)
+            adj[j] |= 1 << k
+            adj[k] |= 1 << j
+            deg[j] += 1
+            deg[k] += 1
+            idx += 1
+            e += 1
+        budget.tick()
+        if e + (total - idx) < m or deficit > 2 * (m - e):
+            continue
+        if idx == total:
+            if (not exact_mode or min(deg) == t) and saturation_holds_masks(n, adj, p):
+                solutions.add(canonical_masks(n, adj)[1])
+            continue
+        j, k = pairs[idx]
+        if not j and k >= 3:
+            # vertices 0..k-1 are complete; k-1 is the one just added
+            if iso:
+                labeling, packed, orbit = _labelling(k, adj[:k])
+                if orbit[labeling[-1]] != orbit[k - 1] or packed in siblings:
+                    continue
+                siblings.add(packed)
+            if k == stop:
+                frontier.append((idx, e, deficit, tuple(adj), tuple(deg)))
+                continue
+            siblings = set()
+        expand(idx, e, deficit, siblings)
+    return solutions, frontier
 
-    rec(0, 0, t * n)
+
+# Subtrees a level is split into before they are shared out: enough that
+# the largest is a small part of the level (their sizes vary a hundredfold),
+# few enough that the parent's share of the tree, above the split, stays
+# small.  Levels grow with m, so a level is split further, into one subtree
+# per _NODES_PER_SUBTREE nodes of the level before, when that is more.
+_SUBTREES = 32
+_NODES_PER_SUBTREE = 100_000
+
+# Set in each worker process by the pool's initializer.
+_worker_stop = None
+
+
+def _init_worker(stop) -> None:
+    global _worker_stop
+    _worker_stop = stop
+
+
+def _subtree(problem: SearchProblem, m: int, state, nodes_left: int, deadline: float):
+    """One task: (solutions, nodes) of the subtree below `state`; the
+    solutions are None when the task ran out of nodes or time."""
+    budget = _Budget(nodes_left, deadline, _worker_stop)
+    try:
+        solutions, _ = _search(problem, m, state, None, budget)
+    except BudgetExceededError:
+        return None, budget.nodes
+    return solutions, budget.nodes
+
+
+class _Pool:
+    """The worker processes of one search, started when a level first has
+    subtrees to share (no more of them than it has subtrees).  `close`
+    stops their tasks and joins them."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._stop = None
+
+    def map(self, calls: list[tuple]) -> Iterator:
+        """`_subtree(*call)` for every call, in order of completion."""
+        if self._executor is None:
+            # the platform's default start method: forking a worker costs
+            # about 10 ms, where spawning one that imports the package costs
+            # about 300 ms, a third of a whole single-level search
+            context = multiprocessing.get_context()
+            self._stop = context.Event()
+            self._executor = ProcessPoolExecutor(
+                min(self.size, len(calls)), mp_context=context,
+                initializer=_init_worker, initargs=(self._stop,),
+            )
+        futures = [self._executor.submit(_subtree, *call) for call in calls]
+        for future in as_completed(futures):
+            yield future.result()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._stop.set()
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_level(
+    problem: SearchProblem, m: int, budget: _Budget, pool: Optional[_Pool], subtrees: int
+) -> set[int]:
+    """The canonical forms of every level-m solution (empty iff level m is
+    infeasible).  The prefixes are expanded one vertex at a time until
+    there are `subtrees` of them; those subtrees then run on the pool, or
+    in process when there is none or the level stayed smaller."""
+    frontier: list = [None]
+    stop = 3
+    while len(frontier) < subtrees and stop < problem.n:
+        grown = []
+        for state in frontier:
+            grown += _search(problem, m, state, stop, budget)[1]  # no leaf lies above stop
+        frontier, stop = grown, stop + 1
+    if pool is not None and len(frontier) >= subtrees:
+        left = budget.limit - budget.nodes
+        results = pool.map([(problem, m, s, left, budget.deadline) for s in frontier])
+    else:
+        results = (
+            _subtree(problem, m, s, budget.limit - budget.nodes, budget.deadline)
+            for s in frontier
+        )
+    solutions: set[int] = set()
+    for found, nodes in results:
+        budget.charge(nodes)
+        if found is None:
+            raise BudgetExceededError("a subtree ran out of its budget")
+        solutions |= found
+    return solutions
 
 
 def _verify_witness(problem: SearchProblem, g: Graph, value: int) -> None:
@@ -196,12 +355,16 @@ def _verify_witness(problem: SearchProblem, g: Graph, value: int) -> None:
         raise IntegrityError("witness fails its own mode checker")
 
 
-def _solve(problem: SearchProblem, collect: bool) -> SearchResult:
+def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> SearchResult:
     n, p, t = problem.n, problem.p, problem.t
     if n > problem.max_n:
         raise DomainError(f"n = {n} exceeds the configured maximum {problem.max_n}")
     if p > n:
         raise DomainError(f"need p <= n, got p = {p}, n = {n}")
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads < 1:
+        raise DomainError(f"need threads >= 1, got {threads}")
     start = time.monotonic()
     budget = _Budget(problem.node_budget, start + problem.time_budget)
 
@@ -218,9 +381,14 @@ def _solve(problem: SearchProblem, collect: bool) -> SearchResult:
         cap = min(cap, problem.edge_budget)
     solutions: set[int] = set()
     value = None
+    pool = _Pool(threads) if threads > 1 else None
+    spent = 0  # nodes of the level before
     try:
         for m in range(m_lo, cap + 1):
-            _run_level(problem, m, budget, solutions)
+            before = budget.nodes
+            subtrees = max(_SUBTREES, spent // _NODES_PER_SUBTREE)
+            solutions = _run_level(problem, m, budget, pool, subtrees)
+            spent = budget.nodes - before
             if solutions:
                 value = m
                 break
@@ -228,6 +396,9 @@ def _solve(problem: SearchProblem, collect: bool) -> SearchResult:
         return SearchResult(
             problem, "resource-limit", None, None, None, budget.nodes, elapsed_ms()
         )
+    finally:
+        if pool is not None:
+            pool.close()
     if value is None:
         return SearchResult(
             problem, "infeasible", None, None, None, budget.nodes, elapsed_ms()
@@ -243,23 +414,24 @@ def _solve(problem: SearchProblem, collect: bool) -> SearchResult:
     )
 
 
-def exact_sat(problem: SearchProblem) -> SearchResult:
-    """Minimum edges of a saturated graph under the problem's degree mode."""
+def exact_sat(problem: SearchProblem, threads: Optional[int] = None) -> SearchResult:
+    """Minimum edges of a saturated graph under the problem's degree mode.
+    `threads` worker processes share each level (default: one per CPU)."""
     if problem.mode not in ("sat", "sat-exact"):
         raise DomainError(f"exact_sat needs mode sat or sat-exact, got {problem.mode!r}")
-    return _solve(problem, collect=False)
+    return _solve(problem, False, threads)
 
 
-def exact_semi_sat(problem: SearchProblem) -> SearchResult:
+def exact_semi_sat(problem: SearchProblem, threads: Optional[int] = None) -> SearchResult:
     """Minimum edges of a semi-saturated graph with min degree >= t."""
     if problem.mode != "semi":
         raise DomainError(f"exact_semi_sat needs mode semi, got {problem.mode!r}")
-    return _solve(problem, collect=False)
+    return _solve(problem, False, threads)
 
 
-def enumerate_extremal(problem: SearchProblem) -> SearchResult:
+def enumerate_extremal(problem: SearchProblem, threads: Optional[int] = None) -> SearchResult:
     """Solve and list every optimal graph up to isomorphism (graph6 of the
     canonical labelings, ascending)."""
     if problem.n > 9:
         raise DomainError(f"enumeration is limited to n <= 9, got {problem.n}")
-    return _solve(problem, collect=True)
+    return _solve(problem, True, threads)

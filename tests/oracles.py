@@ -281,3 +281,45 @@ def certificate_problem(data: dict, g: Graph) -> Optional[str]:
     if data["bound"] != t * (g.n - len(r)) or data["edges"] != edges or edges < data["bound"]:
         return "bound or edge count"
     return None
+
+
+def atlas_saturation_optima(max_n: int = 7) -> dict:
+    """Read the optima off networkx's graph atlas, which lists every graph
+    on at most 7 vertices once per isomorphism class.
+
+    For each point (n, p, t, mode) with 3 <= p <= n <= max_n and 0 <= t < n
+    returns (least edge count, the atlas graphs attaining it), or (None, [])
+    when no graph qualifies.  Modes as in `brute_optimum`.  Works on the
+    networkx graphs alone: no code from the package is used."""
+    import networkx
+
+    table: dict = {}
+    for g in networkx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if not 3 <= n <= max_n:
+            continue
+        nbrs = [set(g[v]) for v in range(n)]
+        delta = min(len(a) for a in nbrs)
+
+        def has_clique(vertices, k):
+            return any(all(b in nbrs[a] for a, b in combinations(sub, 2))
+                       for sub in combinations(sorted(vertices), k))
+
+        for p in range(3, n + 1):
+            # every non-edge would complete a K_p; the graph holds none
+            closes = all(has_clique(nbrs[u] & nbrs[v], p - 2)
+                         for u, v in combinations(range(n), 2) if v not in nbrs[u])
+            free = not has_clique(range(n), p)
+            for t in range(n):
+                meets = {"sat": free and closes and delta >= t,
+                         "sat-exact": free and closes and delta == t,
+                         "semi": closes and delta >= t}
+                for mode, ok in meets.items():
+                    value, graphs = table.get((n, p, t, mode), (None, []))
+                    m = g.number_of_edges()
+                    if ok and (value is None or m < value):
+                        value, graphs = m, []
+                    if ok and m == value:
+                        graphs.append(g)
+                    table[(n, p, t, mode)] = (value, graphs)
+    return table

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import satgraph.canon
 from satgraph.canon import (
+    _labelling,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -142,3 +143,50 @@ def test_atlas_forms_golden():
     assert [len(forms[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "aeac4b820425ffa10e3517b951d299aedb0c66d0f1ceb4b9289a8a8179b83f10"
+
+
+def networkx_orbits(h) -> list[list[int]]:
+    """The automorphism orbits of a networkx graph: u and v share one iff
+    networkx's GraphMatcher maps h onto itself with u marked on one side
+    and v on the other."""
+    matcher = networkx.algorithms.isomorphism.GraphMatcher
+
+    def maps(u, v):
+        a, b = h.copy(), h.copy()
+        a.nodes[u]["mark"] = b.nodes[v]["mark"] = True
+        return matcher(a, b, node_match=lambda x, y: x.get("mark") == y.get("mark")).is_isomorphic()
+
+    orbits: list[list[int]] = []
+    for v in sorted(h):
+        home = next((o for o in orbits if h.degree(o[0]) == h.degree(v) and maps(o[0], v)), None)
+        if home is None:
+            orbits.append([v])
+        else:
+            home.append(v)
+    return orbits
+
+
+def labelling_orbits(g: Graph) -> list[list[int]]:
+    _, _, orbit = _labelling(g.n, g.masks())
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(orbit[v], []).append(v)
+    return sorted(groups.values())
+
+
+def test_orbits_match_networkx_automorphisms():
+    for h in networkx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        assert labelling_orbits(g) == networkx_orbits(h), list(h.edges())
+    # twin pruning skips all but one branch of each class here
+    big = [
+        [(0, v) for v in range(1, 10)],                          # K_{1,9}
+        [(u, v) for u in range(2) for v in range(2, 10)],        # K_{2,8}
+        [(v, (v + d) % 10) for v in range(10) for d in (1, 3, 5)],  # circulant C_10(1,3,5) = K_{5,5}
+        [(v, (v + d) % 9) for v in range(9) for d in (1, 2)],    # circulant C_9(1,2)
+    ]
+    for edges in big:
+        g = Graph(max(max(e) for e in edges) + 1, {tuple(sorted(e)) for e in edges})
+        assert labelling_orbits(g) == networkx_orbits(networkx.Graph(list(g.edges()))), edges
+    assert labelling_orbits(Graph(10, big[0])) == [[0], list(range(1, 10))]
+    assert labelling_orbits(Graph(10, big[1])) == [[0, 1], list(range(2, 10))]

@@ -557,3 +557,27 @@ def test_construct_verify_round_trip():
         assert report["min_degree"] >= t
         g = decode(out.strip())
         assert is_semi_saturated(g, p) if semi else is_saturated(g, p)
+
+
+def test_threads_below_one_is_a_usage_error():
+    for argv, stdin in ((["verify", "--p", "3", "--t", "2"], "Dhc\n"),
+                        (["search", "--n", "5", "--p", "3", "--t", "2"], "")):
+        for value in ("0", "-3"):
+            code, out, err = run(argv + ["--threads", value], stdin=stdin)
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {
+                "error": "usage", "detail": f"argument --threads: need at least 1, got {value}"}
+        code, out, err = run(argv + ["--threads", "x"], stdin=stdin)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
+
+
+def test_search_threads_flag_keeps_the_json():
+    argv = ["search", "--n", "8", "--p", "3", "--t", "2"]
+    outs = []
+    for threads in ("1", "2"):
+        code, out, err = run(argv + ["--threads", threads])
+        assert (code, err) == (0, "")
+        outs.append({k: v for k, v in json.loads(out).items() if k != "wall_ms"})
+    assert outs[0] == outs[1]
+    assert outs[0]["value"] == 11 and outs[0]["witness_graph6"] == "G??Nno"

@@ -1,11 +1,16 @@
 """Tests for the exact minimum-edge search over saturated graphs."""
 from __future__ import annotations
 
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import satgraph.canon
+import satgraph.search
 from satgraph.canon import are_isomorphic, canonical_graph
+from satgraph.cli import main
 from satgraph.constructions import duffus_hanson_t2, ehm_extremal
 from satgraph.errors import DomainError
 from satgraph.graph6 import decode
@@ -17,7 +22,7 @@ from satgraph.search import (
 )
 from satgraph.verify import is_saturated, is_semi_saturated
 
-from oracles import brute_optimum
+from oracles import atlas_saturation_optima, brute_optimum
 
 SAT_GOLDENS = [
     (5, 3, 2, 5, "DLo"),
@@ -230,3 +235,127 @@ def test_ten_vertex_semi_witness_golden_is_valid():
     assert g.edge_count() == 21
     assert g.min_degree() == 3
     assert is_semi_saturated(g, 4)
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    pytest.importorskip("networkx")
+    return atlas_saturation_optima()
+
+
+def _atlas_rows(atlas, slow):
+    # semi-saturation at n = 7 with t <= 2 explores 35k-70k nodes a point
+    return [(point, row) for point, row in sorted(atlas.items())
+            if (point[3] == "semi" and point[0] == 7 and point[2] <= 2) == slow]
+
+
+def _check_atlas_rows(rows):
+    import networkx
+
+    for (n, p, t, mode), (value, graphs) in rows:
+        problem = SearchProblem(n, p, t, mode=mode)
+        # one process: these levels are too small to gain from a pool
+        r = (exact_semi_sat if mode == "semi" else exact_sat)(problem, threads=1)
+        if value is None:
+            assert r.status == "infeasible", (n, p, t, mode)
+            continue
+        assert r.value == value, (n, p, t, mode)
+        if n < 7:
+            continue
+        listed = [networkx.from_graph6_bytes(s.encode())
+                  for s in enumerate_extremal(problem, threads=1).extremal]
+        assert len(listed) == len(graphs), (n, p, t, mode)
+        for g in listed:
+            assert sum(networkx.is_isomorphic(g, h) for h in graphs) == 1, (n, p, t, mode)
+
+
+def test_atlas_oracle_values_and_extremal_lists(atlas):
+    """Every (n <= 7, p, t, mode) minimum, and every class list of an
+    optimal n = 7 point, as read off the graph atlas."""
+    assert len(atlas) == 255
+    _check_atlas_rows(_atlas_rows(atlas, slow=False))
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATGRAPH_LONG_TESTS"),
+    reason="the 15 slowest atlas rows, about 8 s; set SATGRAPH_LONG_TESTS=1",
+)
+def test_atlas_oracle_slow_rows(atlas):
+    _check_atlas_rows(_atlas_rows(atlas, slow=True))
+
+
+class _CountingPool(ProcessPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        type(self).submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def _without_time(result):
+    out = result.to_json()
+    del out["wall_ms"]
+    return out
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    # `nodes` is the size of one fixed tree.  With isomorph rejection off it
+    # is the labelled tree the search has always walked (142,637 before
+    # canonical augmentation too); with it on, a larger count means weaker
+    # rejection, which loses no solution and so shows nowhere else.
+    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    cases = [(enumerate_extremal, SearchProblem(8, 3, 2), 12_108),
+             (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 142_637),
+             (exact_sat, SearchProblem(8, 3, 2), 12_108),
+             (exact_sat, SearchProblem(8, 3, 2, mode="sat-exact"), 12_108),
+             (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 38_973),
+             (exact_sat, SearchProblem(8, 4, 3), 61_335),
+             (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 61_335),
+             (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 84_549)]
+    for solve, problem, nodes in cases:
+        serial = solve(problem, threads=1)
+        before = _CountingPool.submitted
+        pooled = solve(problem, threads=2)
+        assert _CountingPool.submitted > before, problem  # the level was split
+        assert _without_time(pooled) == _without_time(serial), problem
+        assert pooled.extremal == serial.extremal
+        assert serial.nodes == nodes, problem
+
+
+def test_threads_must_be_positive():
+    for threads in (0, -3):
+        with pytest.raises(DomainError, match="need threads >= 1"):
+            exact_sat(SearchProblem(5, 3, 2), threads=threads)
+
+
+def test_node_budget_stops_the_pool():
+    # the first level of (8, 4, 3) spends 1,671 nodes above its split and
+    # 5,509 below: at 1,700 a subtree task runs out, at 5,000 their sum does
+    for budget in (1_700, 5_000):
+        for threads in (1, 2):
+            r = exact_sat(SearchProblem(8, 4, 3, node_budget=budget), threads=threads)
+            assert r.status == "resource-limit"
+            assert r.nodes > budget
+            assert multiprocessing.active_children() == []
+    assert main(["search", "--n", "8", "--p", "4", "--t", "3",
+                 "--node-budget", "5000", "--threads", "2"]) == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched guard only when forked")
+def test_labelling_guard_in_a_worker_is_a_resource_limit(monkeypatch, capsys):
+    parent = os.getpid()
+
+    class TripsInWorkers:
+        def __lt__(self, visited):  # `visited > guard` in a worker only
+            return os.getpid() != parent
+
+    monkeypatch.setattr(satgraph.canon, "_LABELING_GUARD", TripsInWorkers())
+    assert exact_sat(SearchProblem(7, 3, 2), threads=1).value == 9
+    r = exact_sat(SearchProblem(8, 3, 2), threads=2)
+    assert r.status == "resource-limit"
+    assert multiprocessing.active_children() == []
+    assert main(["search", "--n", "8", "--p", "3", "--t", "2", "--threads", "2"]) == 3
+    assert '"value": "resource-limit"' in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
