@@ -27,10 +27,17 @@ the image of a visited one under a twin transposition, so each of those
 leaves is a product of twin transpositions applied to a visited leaf of
 the same value (McKay & Piperno, "Practical graph isomorphism II", JSC 60,
 2014, for the method).
+
+Root partition: refinement replaces each split cell by its parts in
+place, and a branch replaces its target cell by [v] and the rest, so the
+order of every leaf refines the root partition (the refined unit
+partition): the vertices of each root cell stay together, in the root's
+order of cells.  So the labeling puts last a vertex of the root's last
+cell, which `_root_cells` tests before any branching.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import LabelingLimitError
 from .graph6 import triangle_masks
@@ -103,13 +110,29 @@ def _pack(n: int, adj: Sequence[int], pos: Sequence[int]) -> int:
     return val
 
 
-def _labelling(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int, list[int]]:
+def _root_cells(adj: Sequence[int], last: int) -> Optional[list[list[int]]]:
+    """The root partition of the graph given by adjacency masks, or None
+    when vertex `last` cannot be the one the canonical labeling puts last
+    or an automorphic image of it: when some vertex has a higher degree,
+    or `last` lies outside the root's last cell."""
+    n = len(adj)
+    if max(map(int.bit_count, adj)) > adj[last].bit_count():
+        return None
+    cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
+    return cells if last in cells[-1] else None
+
+
+def _labelling(
+    n: int, adj: Sequence[int], cells: Optional[list[list[int]]] = None
+) -> tuple[tuple[int, ...], int, list[int]]:
     """(labeling, packed, orbit) for the canonical labeling of the graph
     given by adjacency masks; orbit[v] is the least vertex of v's
-    automorphism orbit."""
+    automorphism orbit.  `cells`, when given, is the root partition
+    (`_refine` of the unit partition), which is then not refined again."""
     if n == 0:
         return (), 0, []
-    cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
+    if cells is None:
+        cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
     best_packed: int | None = None
     best_pos: tuple[int, ...] | None = None
     visited = 0

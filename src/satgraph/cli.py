@@ -121,11 +121,12 @@ def _verify_line(job):
 
 def _cmd_verify(a) -> int:
     jobs = [(line, a.p, a.t, a.semi) for line in _read_lines(a.input)]
-    if a.threads > 1 and len(jobs) > 1:
+    workers = _workers(a.threads, len(jobs))
+    if workers > 1:
         # about four chunks per worker: one task per line costs more in
         # pickling and queueing than a small line takes to check
-        chunk = -(-len(jobs) // (4 * a.threads))
-        with ProcessPoolExecutor(max_workers=a.threads) as pool:
+        chunk = -(-len(jobs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_line, jobs, chunksize=chunk))
     else:
         results = [_verify_line(job) for job in jobs]
@@ -173,7 +174,7 @@ def _cmd_search(a) -> int:
     )
     solve = (enumerate_extremal if a.enumerate
              else exact_semi_sat if a.mode == "semi" else exact_sat)
-    result = solve(problem, a.threads)
+    result = solve(problem, _workers(a.threads))  # the pool caps at its task count
     payload = json.dumps(result.to_json())
     print(payload)
     if a.out:
@@ -282,6 +283,17 @@ def _threads(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
     return value
+
+
+def _workers(threads: int, tasks: Optional[int] = None) -> int:
+    """The worker processes to start for `--threads`: at most one per task
+    and one per CPU this process may run on.  A pool started by fork starts
+    all its workers at its first task, however few the tasks."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus, threads if tasks is None else tasks)
 
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:

@@ -35,6 +35,19 @@ vertex k-1 in the orbit the test asks for.  The sibling set removes the
 children that are equivalent under P's automorphisms, which the orbit
 test lets through.
 
+The orbit test runs in three stages, each on the prefixes the one before
+keeps: reject the prefix if some vertex has a higher degree than k-1,
+else if k-1 is not in the last cell of its refined unit partition (the
+root partition), else unless the labelling, started from that partition,
+puts last a vertex of k-1's orbit.  The first two stages reject only
+what the third would: every leaf order of the labelling refines the root
+partition (see `canon`), so its last vertex lies in the root's last cell;
+refinement does not depend on labels, so every automorphism maps each
+root cell onto itself, and the orbit of a vertex outside the last cell
+misses that vertex; the first round of refinement orders vertices by
+ascending degree, so the last cell lies inside the class of maximum
+degree.
+
 No state is shared between subtrees, so a level is split: its kept
 prefixes are grown one vertex at a time until there are enough subtrees
 to share, and those run in worker processes or in process, one task
@@ -51,7 +64,7 @@ from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Iterator, Optional
 
-from .canon import _labelling, canonical_masks, masks_from_packed
+from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
@@ -236,9 +249,14 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
             continue
         j, k = pairs[idx]
         if not j and k >= 3:
-            # vertices 0..k-1 are complete; k-1 is the one just added
+            # vertices 0..k-1 are complete and no edge reaches k yet;
+            # k-1 is the one just added
             if iso:
-                labeling, packed, orbit = _labelling(k, adj[:k])
+                prefix = adj[:k]
+                cells = _root_cells(prefix, k - 1)
+                if cells is None:
+                    continue
+                labeling, packed, orbit = _labelling(k, prefix, cells)
                 if orbit[labeling[-1]] != orbit[k - 1] or packed in siblings:
                     continue
                 siblings.add(packed)

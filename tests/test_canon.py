@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 import satgraph.canon
 from satgraph.canon import (
     _labelling,
+    _refine,
+    _root_cells,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -174,19 +176,54 @@ def labelling_orbits(g: Graph) -> list[list[int]]:
     return sorted(groups.values())
 
 
+# twin pruning skips all but one branch of each class here
+BIG = [
+    [(0, v) for v in range(1, 10)],                          # K_{1,9}
+    [(u, v) for u in range(2) for v in range(2, 10)],        # K_{2,8}
+    [(v, (v + d) % 10) for v in range(10) for d in (1, 3, 5)],  # circulant C_10(1,3,5) = K_{5,5}
+    [(v, (v + d) % 9) for v in range(9) for d in (1, 2)],    # circulant C_9(1,2)
+]
+
+
 def test_orbits_match_networkx_automorphisms():
     for h in networkx.graph_atlas_g():
         g = Graph(h.number_of_nodes(), h.edges())
         assert labelling_orbits(g) == networkx_orbits(h), list(h.edges())
-    # twin pruning skips all but one branch of each class here
-    big = [
-        [(0, v) for v in range(1, 10)],                          # K_{1,9}
-        [(u, v) for u in range(2) for v in range(2, 10)],        # K_{2,8}
-        [(v, (v + d) % 10) for v in range(10) for d in (1, 3, 5)],  # circulant C_10(1,3,5) = K_{5,5}
-        [(v, (v + d) % 9) for v in range(9) for d in (1, 2)],    # circulant C_9(1,2)
-    ]
-    for edges in big:
+    for edges in BIG:
         g = Graph(max(max(e) for e in edges) + 1, {tuple(sorted(e)) for e in edges})
         assert labelling_orbits(g) == networkx_orbits(networkx.Graph(list(g.edges()))), edges
-    assert labelling_orbits(Graph(10, big[0])) == [[0], list(range(1, 10))]
-    assert labelling_orbits(Graph(10, big[1])) == [[0, 1], list(range(2, 10))]
+    assert labelling_orbits(Graph(10, BIG[0])) == [[0], list(range(1, 10))]
+    assert labelling_orbits(Graph(10, BIG[1])) == [[0, 1], list(range(2, 10))]
+
+
+def test_root_partition_bounds_the_last_vertex(monkeypatch):
+    """The facts the search's cheap rejection rests on: the labeling puts
+    last a vertex of the root's last cell, that cell lies inside the class
+    of maximum degree and is a union of orbits, so every vertex that
+    `_root_cells` rules out lies outside the last vertex's orbit.  A vertex
+    below the maximum degree is ruled out before any refinement."""
+    refined = []
+    monkeypatch.setattr(satgraph.canon, "_refine",
+                        lambda *args: refined.append(args) or _refine(*args))
+    hs = list(networkx.graph_atlas_g())[1:] + [networkx.Graph(edges) for edges in BIG]
+    assert len(hs) == 1256
+    for h in hs:
+        g = Graph(h.number_of_nodes(), h.edges())
+        n, masks = g.n, g.masks()
+        root = _refine(masks, [list(range(n))], [(1 << n) - 1])
+        labeling, packed, orbit = _labelling(n, masks)
+        assert _labelling(n, masks, root) == (labeling, packed, orbit)
+        last = set(root[-1])
+        assert labeling[-1] in last
+        top = max(g.degree(v) for v in range(n))
+        assert all(g.degree(v) == top for v in last)
+        for o in networkx_orbits(h):
+            assert set(o) <= last or not set(o) & last, (list(h.edges()), o)
+        for v in range(n):
+            refined.clear()
+            cells = _root_cells(masks, v)
+            assert not refined or g.degree(v) == top
+            if cells is None:
+                assert orbit[labeling[-1]] != orbit[v], (list(h.edges()), v)
+            else:
+                assert cells == root

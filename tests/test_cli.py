@@ -572,6 +572,46 @@ def test_threads_below_one_is_a_usage_error():
         assert json.loads(err)["error"] == "usage"
 
 
+class _RecordingPool:
+    """Stands in for the `verify` pool: records its size, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
+    # a fork-started pool starts every worker at its first task, so an
+    # uncapped `--threads 5000` would start 5,000 processes for two lines
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for lines, threads, size in [(2, "5000", 2), (20, "5000", 3), (20, "2", 2), (1, "5000", None)]:
+        before = list(_RecordingPool.sizes)
+        code, out, err = run(["verify", "--p", "3", "--t", "2", "--threads", threads],
+                             stdin="Dhc\n" * lines)
+        assert (code, err) == (0, "") and len(out.splitlines()) == lines
+        assert _RecordingPool.sizes == before + ([size] if size else [])
+    asked = []
+    exact_sat = cli.exact_sat
+    monkeypatch.setattr(cli, "exact_sat",
+                        lambda problem, threads: asked.append(threads) or exact_sat(problem, 1))
+    for threads, size in (("5000", 3), ("2", 2)):
+        code, out, err = run(["search", "--n", "5", "--p", "3", "--t", "2", "--threads", threads])
+        assert (code, err) == (0, "")
+        assert asked.pop() == size
+
+
 def test_search_threads_flag_keeps_the_json():
     argv = ["search", "--n", "8", "--p", "3", "--t", "2"]
     outs = []

@@ -322,6 +322,25 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert serial.nodes == nodes, problem
 
 
+def test_prefix_labelling_counts(monkeypatch):
+    # canonical deletion labels only the prefixes whose new vertex passes
+    # the degree and root-partition stages (2,614 and 15,142 without them);
+    # the node counts, 12,108 and 84,549 above, do not move
+    calls = []
+    labelling = satgraph.search._labelling
+
+    def counted(*args):
+        calls.append(args[0])
+        return labelling(*args)
+
+    monkeypatch.setattr(satgraph.search, "_labelling", counted)
+    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 809),
+                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 2_985)]:
+        calls.clear()
+        solve(problem, threads=1)
+        assert len(calls) == count, problem
+
+
 def test_threads_must_be_positive():
     for threads in (0, -3):
         with pytest.raises(DomainError, match="need threads >= 1"):
