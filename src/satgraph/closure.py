@@ -279,13 +279,19 @@ def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Cer
         graph6=encode(g), p=p, t=t, r0=seed, steps=tuple(steps), r_star=r_star,
         iterations=len(steps), bound=bound, edges=edges, verified=False,
     )
-    return replace(cert, verified=verify_certificate(cert, g))
+    # saturation is a precondition checked above; the replay checks the rest
+    return replace(cert, verified=_verify(cert, g, saturated=True))
 
 
 def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:
     """Re-run `refine` from the seed, compare every recorded field, then
     re-check the final bound; a field of the wrong type or range reads False.
     Not independent of the engine: `tests/oracles.certificate_problem` is."""
+    return _verify(cert, g, saturated=False)
+
+
+def _verify(cert: Certificate, g: Optional[Graph], saturated: bool) -> bool:
+    """`verify_certificate`, taking g's saturation as known when `saturated`."""
     ints = (cert.p, cert.t, cert.iterations, cert.bound, cert.edges)
     if not (isinstance(cert.graph6, str) and type(cert.verified) is bool
             and isinstance(cert.r0, tuple) and isinstance(cert.r_star, tuple)
@@ -294,7 +300,7 @@ def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:
     try:
         named = decode(cert.graph6)
         g = named if g is None else g
-        if g != named or g.min_degree() < cert.t or not is_saturated(g, cert.p):
+        if g != named or g.min_degree() < cert.t or not (saturated or is_saturated(g, cert.p)):
             return False
         state = make_state(g, cert.t, cert.r0)
         for rec in cert.steps:

@@ -9,10 +9,19 @@ witness (the least canonical form) and the extremal list independent of
 visit order.
 
 Pruning is limited to rules that cannot lose solutions: remaining pair
-budget, total degree deficit against the remaining edge budget,
-per-vertex reachability of degree t, the degree cap 2m - t(n-1), and
-(for the saturated modes) refusing any edge that would complete a
-p-clique.
+budget, total need against the remaining edge budget, per-vertex
+reachability of that need, the degree cap 2m - t(n-1), and (for the
+saturated modes) refusing any edge that would complete a p-clique.
+
+A vertex's need is the number of edges it must still gain: t - deg v,
+and at least 1 if v owes saturation debt.  Every mode asks each
+non-adjacent pair u, v to hold a K_{p-2} in N(u) & N(v).  At a column
+boundary k (vertices 0..k-1 complete, no edge to k yet) a prefix pair
+without one can be closed only by a later vertex, adjacent to both, so
+each end of degree >= t owes an edge to a later vertex (see `_owed`).
+An edge pays at most two needs, so a node is cut when the total need
+exceeds 2(m - e).  Inside column k the debt is carried: the edge (j, k)
+pays j's, and j may not skip the last column while it owes.
 
 Isomorph rejection is canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Column k decides the
@@ -24,7 +33,12 @@ each isomorphism class is kept.
 
 Soundness: every pruning rule is invariant under relabelling the prefix,
 and it survives deleting a vertex: each rule tests a quantity that moves
-one way along a path, so no rule cuts a node above a solution.  A viable
+one way along a path, so no rule cuts a node above a solution.  The debt
+rule is a necessary condition for a node to extend to a solution, since
+the need it counts is a lower bound on the edges each vertex still
+gains in any solution below; at a boundary it depends only on the
+prefix's isomorphism class, as owing is defined by degrees, adjacency
+and cliques alone, so it cuts all of a class or none of it.  A viable
 prefix (one that some solution extends) thus stays viable when
 relabelled, and so does its canonical parent, the prefix less its
 canonically last vertex: relabel the solution to put that vertex last.
@@ -186,6 +200,49 @@ class _Budget:
 _VISIT, _TAKE, _UNDO = range(3)
 
 
+def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
+    """Mask of the vertices v < k of degree >= t with a non-neighbour u < k
+    such that N(u) & N(v) holds no K_{p-2}, where vertices 0..k-1 are
+    complete and no edge reaches k: that pair can be closed only by a
+    later vertex, so v needs an edge to one."""
+    full = (1 << k) - 1
+    owed = 0
+    for v in range(k):
+        if deg[v] < t:
+            continue
+        av = adj[v]
+        others = full & ~av & ~(1 << v)
+        if p == 3:
+            # u is closed with v iff it is adjacent to some neighbour of v
+            rest = av
+            while rest and others:
+                low = rest & -rest
+                rest ^= low
+                others &= ~adj[low.bit_length() - 1]
+            if others:
+                owed |= 1 << v
+            continue
+        while others:
+            low = others & -others
+            others ^= low
+            common = adj[low.bit_length() - 1] & av
+            if p == 4:
+                # closed iff some edge lies inside the common neighbourhood
+                rest = common
+                while rest:
+                    w = rest & -rest
+                    rest ^= w
+                    if adj[w.bit_length() - 1] & common:
+                        break
+                else:
+                    owed |= 1 << v
+                    break
+            elif find_clique_in_mask(adj, common, p - 2) is None:
+                owed |= 1 << v
+                break
+    return owed
+
+
 def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: _Budget):
     """Walk one level-m subtree: from the root when `state` is None, else
     from a prefix that an earlier walk returned.  Returns (solutions, frontier):
@@ -203,27 +260,28 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
     solutions: set[int] = set()
     frontier: list[tuple] = []
     # a loop over an explicit stack of (op, pair index, edges, deficit,
-    # sibling set), not recursion: CPython maps and unmaps a frame chunk
-    # each time a deep recursion crosses a chunk boundary
+    # owed, sibling set), not recursion: CPython maps and unmaps a frame
+    # chunk each time a deep recursion crosses a chunk boundary
     stack: list[tuple] = []
 
-    def expand(idx: int, e: int, deficit: int, siblings: set[int]) -> None:
+    def expand(idx: int, e: int, deficit: int, owed: int, siblings: set[int]) -> None:
         """Push the children of the node before pair idx: take it, then skip it."""
         j, k = pairs[idx]
-        if deg[j] + (n - 1 - k) >= t and deg[k] + (n - 2 - j) >= t:
-            stack.append((_VISIT, idx + 1, e, deficit, siblings))
+        # skipping leaves j n-1-k pairs for its need, max(t - deg j, [j owed])
+        if max(t - deg[j], owed >> j & 1) <= n - 1 - k and deg[k] + (n - 2 - j) >= t:
+            stack.append((_VISIT, idx + 1, e, deficit, owed, siblings))
         if e < m and deg[j] < capd and deg[k] < capd and not (
             free_mode and find_clique_in_mask(adj, adj[j] & adj[k], p - 2) is not None
         ):
-            stack.append((_TAKE, idx, e, deficit, siblings))
+            stack.append((_TAKE, idx, e, deficit, owed, siblings))
 
     if state is None:
-        stack.append((_VISIT, 0, 0, t * n, set()))
+        stack.append((_VISIT, 0, 0, t * n, 0, set()))
     else:
-        idx, e, deficit, adj[:], deg[:] = state
-        expand(idx, e, deficit, set())
+        idx, e, deficit, owed, adj[:], deg[:] = state
+        expand(idx, e, deficit, owed, set())
     while stack:
-        op, idx, e, deficit, siblings = stack.pop()
+        op, idx, e, deficit, owed, siblings = stack.pop()
         if op != _VISIT:
             j, k = pairs[idx]
             if op == _UNDO:
@@ -232,8 +290,10 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
                 adj[j] &= ~(1 << k)
                 adj[k] &= ~(1 << j)
                 continue
-            stack.append((_UNDO, idx, e, deficit, siblings))
-            deficit -= (deg[j] < t) + (deg[k] < t)
+            stack.append((_UNDO, idx, e, deficit, owed, siblings))
+            # an edge to a later vertex pays j's debt
+            deficit -= (deg[j] < t or owed >> j & 1) + (deg[k] < t)
+            owed &= ~(1 << j)
             adj[j] |= 1 << k
             adj[k] |= 1 << j
             deg[j] += 1
@@ -248,10 +308,15 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
                 solutions.add(canonical_masks(n, adj)[1])
             continue
         j, k = pairs[idx]
-        if not j and k >= 3:
+        if not j and k >= 2:
             # vertices 0..k-1 are complete and no edge reaches k yet;
             # k-1 is the one just added
-            if iso:
+            fresh = _owed(adj, deg, k, t, p)
+            deficit += fresh.bit_count() - owed.bit_count()
+            owed = fresh
+            if deficit > 2 * (m - e):
+                continue
+            if iso and k >= 3:
                 prefix = adj[:k]
                 cells = _root_cells(prefix, k - 1)
                 if cells is None:
@@ -261,10 +326,10 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
                     continue
                 siblings.add(packed)
             if k == stop:
-                frontier.append((idx, e, deficit, tuple(adj), tuple(deg)))
+                frontier.append((idx, e, deficit, owed, tuple(adj), tuple(deg)))
                 continue
             siblings = set()
-        expand(idx, e, deficit, siblings)
+        expand(idx, e, deficit, owed, siblings)
     return solutions, frontier
 
 

@@ -6,9 +6,11 @@ edge counts come from scanning every graph on n vertices, isomorphism is
 decided by trying every permutation, and closure certificates are re-derived
 step by step from the definitions of closure, weight and trace (their
 saturation check uses a plain take-or-drop clique branching, since those
-graphs reach a few hundred vertices).  None of it shares code with the
-package beyond reading adjacency masks (and decoding a certificate's graph6
-string), so agreement is meaningful.
+graphs reach a few hundred vertices).  The search is judged against the
+graph atlas, and one vertex past it, and its saturation debt against
+the definition.  None of it shares code with the package beyond reading
+adjacency masks (and decoding a certificate's graph6 string), so
+agreement is meaningful.
 """
 from __future__ import annotations
 
@@ -283,6 +285,12 @@ def certificate_problem(data: dict, g: Graph) -> Optional[str]:
     return None
 
 
+def _holds_clique(nbrs, vertices, k: int) -> bool:
+    """Do the given vertices include k pairwise adjacent ones?"""
+    return any(all(b in nbrs[a] for a, b in combinations(sub, 2))
+               for sub in combinations(sorted(vertices), k))
+
+
 def atlas_saturation_optima(max_n: int = 7) -> dict:
     """Read the optima off networkx's graph atlas, which lists every graph
     on at most 7 vertices once per isomorphism class.
@@ -300,16 +308,11 @@ def atlas_saturation_optima(max_n: int = 7) -> dict:
             continue
         nbrs = [set(g[v]) for v in range(n)]
         delta = min(len(a) for a in nbrs)
-
-        def has_clique(vertices, k):
-            return any(all(b in nbrs[a] for a, b in combinations(sub, 2))
-                       for sub in combinations(sorted(vertices), k))
-
         for p in range(3, n + 1):
             # every non-edge would complete a K_p; the graph holds none
-            closes = all(has_clique(nbrs[u] & nbrs[v], p - 2)
+            closes = all(_holds_clique(nbrs, nbrs[u] & nbrs[v], p - 2)
                          for u, v in combinations(range(n), 2) if v not in nbrs[u])
-            free = not has_clique(range(n), p)
+            free = not _holds_clique(nbrs, range(n), p)
             for t in range(n):
                 meets = {"sat": free and closes and delta >= t,
                          "sat-exact": free and closes and delta == t,
@@ -323,3 +326,84 @@ def atlas_saturation_optima(max_n: int = 7) -> dict:
                         graphs.append(g)
                     table[(n, p, t, mode)] = (value, graphs)
     return table
+
+
+def saturation_debt(n: int, p: int, t: int, edges, k: int):
+    """What a search node owes, from the definitions.
+
+    The node has decided every pair inside 0..k-1 and some pairs (j, k);
+    `edges` are the pairs (a, b), a < b, it has taken.  A prefix vertex
+    owes when it lies in a non-adjacent pair {u, v} of 0..k-1 whose common
+    neighbourhood, inside 0..k-1, holds no K_{p-2}, and has no edge yet to
+    a vertex >= k: only a later vertex can close that pair.  Returns
+    (need, owes): need[v] = max(t - deg v, [v owes]) for every vertex, a
+    lower bound on the edges v still gains in any completion that is
+    saturated with minimum degree >= t, and the set of owing vertices.
+    """
+    nbrs = [set() for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    inside = frozenset((a, b) for a, b in edges if b < k)
+    owes = {v for v in _unclosed(p, k, inside) if max(nbrs[v], default=0) < k}
+    need = [max(t - len(nbrs[v]), int(v in owes)) for v in range(n)]
+    return need, owes
+
+
+@lru_cache(maxsize=None)
+def _unclosed(p: int, k: int, edges: frozenset) -> frozenset:
+    """The vertices of the graph on 0..k-1 with these edges that lie in a
+    non-adjacent pair whose common neighbourhood holds no K_{p-2}."""
+    nbrs = [set() for _ in range(k)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    ends = set()
+    for u, v in combinations(range(k), 2):
+        if v not in nbrs[u] and not _holds_clique(nbrs, nbrs[u] & nbrs[v], p - 2):
+            ends |= {u, v}
+    return frozenset(ends)
+
+
+def extended_atlas_optima() -> dict:
+    """Optima at every 8-vertex point, one vertex past the graph atlas.
+
+    Every graph on 8 vertices, less any one vertex, is a 7-vertex graph,
+    so it is isomorphic to some 7-vertex atlas graph plus a vertex with
+    one of the 128 neighbourhoods; no isomorphism test is needed for a
+    minimum.  For each point (8, p, t, mode) with 3 <= p <= 8 and
+    0 <= t <= 7 returns the least edge count, or None when no graph
+    qualifies.  Modes as in `brute_optimum`.  networkx supplies the atlas
+    only; the rest works on plain adjacency masks.
+    """
+    import networkx
+
+    n = 8
+    table: dict = {}
+    for base in networkx.graph_atlas_g():
+        if base.number_of_nodes() != n - 1:
+            continue
+        masks = [sum(1 << u for u in base[v]) for v in range(n - 1)]
+        m0 = base.number_of_edges()
+        for hood in range(1 << (n - 1)):
+            adj = [a | (hood >> v & 1) << (n - 1) for v, a in enumerate(masks)] + [hood]
+            shared = [adj[u] & adj[v] for u, v in combinations(range(n), 2)
+                      if not adj[u] >> v & 1]
+            if not all(shared):
+                continue  # a non-adjacent pair with no common neighbour
+            # the largest s with a K_s common to every non-adjacent pair
+            common = 1
+            while common < n - 2 and all(_mask_has_clique(adj, c, common + 1) for c in shared):
+                common += 1
+            edges = m0 + hood.bit_count()
+            delta = min(a.bit_count() for a in adj)
+            for p in range(3, common + 3):
+                free = not _mask_has_clique(adj, (1 << n) - 1, p)
+                for t in range(delta + 1):
+                    for mode, ok in (("sat", free), ("sat-exact", free and t == delta),
+                                     ("semi", True)):
+                        point = (n, p, t, mode)
+                        if ok and (table.get(point) is None or edges < table[point]):
+                            table[point] = edges
+    return {(n, p, t, mode): table.get((n, p, t, mode))
+            for p in range(3, n + 1) for t in range(n) for mode in ("sat", "sat-exact", "semi")}

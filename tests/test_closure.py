@@ -396,3 +396,17 @@ def test_state_holds_masks_and_computes_its_bad_set_once(monkeypatch):
     assert record.bad == (1, 2, 3, 4, 5)
     bad_vertices(nxt)
     assert len(calls) == len(state.y) + len(nxt.y)
+
+
+def test_certify_checks_saturation_once(monkeypatch):
+    # a precondition of the engine; the closing replay takes it as known,
+    # while `verify_certificate` alone still makes it
+    engine = importlib.import_module("satgraph.closure")
+    calls = []
+    real = engine.is_saturated
+    monkeypatch.setattr(engine, "is_saturated", lambda g, p: calls.append(p) or real(g, p))
+    for g, p, t, *_ in CERTIFICATE_GOLDENS:
+        calls.clear()
+        cert = certify(g, p, t)
+        assert cert.verified and calls == [p]
+        assert verify_certificate(cert) and verify_certificate(cert, g) and calls == [p] * 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import permutations
 
 import pytest
 
@@ -22,7 +23,12 @@ from satgraph.search import (
 )
 from satgraph.verify import is_saturated, is_semi_saturated
 
-from oracles import atlas_saturation_optima, brute_optimum
+from oracles import (
+    atlas_saturation_optima,
+    brute_optimum,
+    extended_atlas_optima,
+    saturation_debt,
+)
 
 SAT_GOLDENS = [
     (5, 3, 2, 5, "DLo"),
@@ -218,7 +224,7 @@ def test_semi_ten_vertex_budgeted_run_never_reports_a_wrong_value():
 
 @pytest.mark.skipif(
     not os.environ.get("SATGRAPH_LONG_TESTS"),
-    reason="exhaustive 50M-node run, several minutes; set SATGRAPH_LONG_TESTS=1",
+    reason="exhaustive 4.85M-node run, about 15 s on 2 workers; set SATGRAPH_LONG_TESTS=1",
 )
 def test_semi_ten_vertex_exact_value():
     problem = SearchProblem(
@@ -284,6 +290,120 @@ def test_atlas_oracle_slow_rows(atlas):
     _check_atlas_rows(_atlas_rows(atlas, slow=True))
 
 
+def _labellings(g) -> set[frozenset]:
+    """The edge sets of every labelling of the networkx graph g on 0..n-1,
+    each once, as pairs (a, b) with a < b."""
+    return {frozenset(tuple(sorted((order[a], order[b]))) for a, b in g.edges())
+            for order in permutations(range(g.number_of_nodes()))}
+
+
+def _check_debt(atlas, sizes):
+    """Walk every node the search passes on the way to every optimal atlas
+    graph with n in `sizes`, in every labelling: before each pair
+    decision, the oracle's debt fits the edges left and each vertex's
+    need fits its pairs left, so the debt rule cuts none of them; at each
+    column boundary the search's `owed` mask is the oracle's."""
+    import networkx
+
+    checks = {}
+    for (n, p, t, mode), (value, graphs) in atlas.items():
+        if n in sizes:
+            for g in graphs:  # the mode only picks the graphs
+                checks[networkx.to_graph6_bytes(g), p, t] = g
+    for (_, p, t), g in checks.items():
+        n, m = g.number_of_nodes(), g.number_of_edges()
+        pairs = [(j, k) for k in range(1, n) for j in range(k)]
+        for placed in _labellings(g):
+            decided = []
+            left = [n - 1] * n
+            for j, k in pairs:
+                need, owes = saturation_debt(n, p, t, decided, k)
+                assert sum(need) <= 2 * (m - len(decided)), (placed, j, k, p, t)
+                assert all(a <= b for a, b in zip(need, left)), (placed, j, k, p, t)
+                if not j and k >= 2:
+                    adj = [0] * n
+                    for a, b in decided:
+                        adj[a] |= 1 << b
+                        adj[b] |= 1 << a
+                    deg = [a.bit_count() for a in adj]
+                    want = sum(1 << v for v in owes if deg[v] >= t)
+                    assert satgraph.search._owed(adj, deg, k, t, p) == want, (placed, k, p, t)
+                left[j] -= 1
+                left[k] -= 1
+                if (j, k) in placed:
+                    decided.append((j, k))
+    return len(checks)
+
+
+def test_saturation_debt_never_cuts_an_atlas_solution(atlas):
+    assert _check_debt(atlas, range(3, 7)) == 51
+
+
+def test_search_reaches_every_labelled_optimum(atlas, monkeypatch):
+    """Without isomorph rejection the search must reach, as a leaf, every
+    labelling of every optimal graph: no pruning rule may cut one."""
+    reached = []
+    canonical = satgraph.search.canonical_masks
+    monkeypatch.setattr(satgraph.search, "canonical_masks",
+                        lambda n, adj: reached.append(tuple(adj)) or canonical(n, adj))
+    for (n, p, t, mode), (value, graphs) in sorted(atlas.items()):
+        if n > 6 or value is None:
+            continue
+        labelled = []
+        for g in graphs:
+            for edges in _labellings(g):
+                adj = [0] * n
+                for a, b in edges:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+                labelled.append(tuple(adj))
+        reached.clear()
+        problem = SearchProblem(n, p, t, mode=mode, iso_reject=False)
+        (exact_semi_sat if mode == "semi" else exact_sat)(problem, threads=1)
+        assert sorted(reached) == sorted(labelled), (n, p, t, mode)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATGRAPH_LONG_TESTS"),
+    reason="every order of the 7-vertex optima, about 5 s; set SATGRAPH_LONG_TESTS=1",
+)
+def test_saturation_debt_never_cuts_a_seven_vertex_solution(atlas):
+    assert _check_debt(atlas, (7,)) == 43
+
+
+@pytest.fixture(scope="module")
+def extended_atlas():
+    pytest.importorskip("networkx")
+    return extended_atlas_optima()
+
+
+def _check_extended_points(extended_atlas, points):
+    for n, p, t, mode in points:
+        r = (exact_semi_sat if mode == "semi" else exact_sat)(
+            SearchProblem(n, p, t, mode=mode), threads=1)
+        value = extended_atlas[n, p, t, mode]
+        assert r.status == ("infeasible" if value is None else "ok"), (n, p, t, mode)
+        assert r.value == value, (n, p, t, mode)
+
+
+def test_extended_atlas_oracle_spot_points(extended_atlas):
+    """n = 8 minima, one vertex past the atlas, at a few cheap points."""
+    assert len(extended_atlas) == 144
+    assert sum(v is not None for v in extended_atlas.values()) == 105
+    _check_extended_points(extended_atlas, [
+        (8, 3, 2, "sat"), (8, 3, 3, "sat-exact"), (8, 3, 4, "semi"), (8, 3, 5, "sat"),
+        (8, 5, 4, "sat"), (8, 6, 5, "sat"), (8, 6, 6, "sat-exact"), (8, 7, 3, "sat-exact"),
+    ])
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATGRAPH_LONG_TESTS"),
+    reason="all 144 points, about 30 s; set SATGRAPH_LONG_TESTS=1",
+)
+def test_extended_atlas_oracle_all_points(extended_atlas):
+    _check_extended_points(extended_atlas, sorted(extended_atlas))
+
+
 class _CountingPool(ProcessPoolExecutor):
     submitted = 0
 
@@ -300,18 +420,18 @@ def _without_time(result):
 
 def test_worker_count_does_not_change_results(monkeypatch):
     # `nodes` is the size of one fixed tree.  With isomorph rejection off it
-    # is the labelled tree the search has always walked (142,637 before
-    # canonical augmentation too); with it on, a larger count means weaker
+    # is the labelled tree the pruning rules leave (142,637 before the
+    # saturation debt rule); with it on, a larger count means weaker
     # rejection, which loses no solution and so shows nowhere else.
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
-    cases = [(enumerate_extremal, SearchProblem(8, 3, 2), 12_108),
-             (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 142_637),
-             (exact_sat, SearchProblem(8, 3, 2), 12_108),
-             (exact_sat, SearchProblem(8, 3, 2, mode="sat-exact"), 12_108),
-             (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 38_973),
-             (exact_sat, SearchProblem(8, 4, 3), 61_335),
-             (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 61_335),
-             (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 84_549)]
+    cases = [(enumerate_extremal, SearchProblem(8, 3, 2), 6_933),
+             (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 45_115),
+             (exact_sat, SearchProblem(8, 3, 2), 6_933),
+             (exact_sat, SearchProblem(8, 3, 2, mode="sat-exact"), 6_933),
+             (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 16_502),
+             (exact_sat, SearchProblem(8, 4, 3), 26_484),
+             (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 26_484),
+             (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 34_888)]
     for solve, problem, nodes in cases:
         serial = solve(problem, threads=1)
         before = _CountingPool.submitted
@@ -324,8 +444,8 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
 def test_prefix_labelling_counts(monkeypatch):
     # canonical deletion labels only the prefixes whose new vertex passes
-    # the degree and root-partition stages (2,614 and 15,142 without them);
-    # the node counts, 12,108 and 84,549 above, do not move
+    # the degree and root-partition stages (1,385 and 7,176 without them);
+    # the node counts, 6,933 and 34,888 above, do not move
     calls = []
     labelling = satgraph.search._labelling
 
@@ -334,8 +454,8 @@ def test_prefix_labelling_counts(monkeypatch):
         return labelling(*args)
 
     monkeypatch.setattr(satgraph.search, "_labelling", counted)
-    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 809),
-                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 2_985)]:
+    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 525),
+                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 1_612)]:
         calls.clear()
         solve(problem, threads=1)
         assert len(calls) == count, problem
@@ -348,16 +468,17 @@ def test_threads_must_be_positive():
 
 
 def test_node_budget_stops_the_pool():
-    # the first level of (8, 4, 3) spends 1,671 nodes above its split and
-    # 5,509 below: at 1,700 a subtree task runs out, at 5,000 their sum does
-    for budget in (1_700, 5_000):
+    # the first level of (8, 4, 3) spends 1,654 nodes above its split and
+    # 1,419 below, at most 117 in one subtree: at 1,700 a subtree task
+    # runs out, at 2,500 none does but their sum does
+    for budget in (1_700, 2_500):
         for threads in (1, 2):
             r = exact_sat(SearchProblem(8, 4, 3, node_budget=budget), threads=threads)
             assert r.status == "resource-limit"
             assert r.nodes > budget
             assert multiprocessing.active_children() == []
     assert main(["search", "--n", "8", "--p", "4", "--t", "3",
-                 "--node-budget", "5000", "--threads", "2"]) == 3
+                 "--node-budget", "2500", "--threads", "2"]) == 3
     assert multiprocessing.active_children() == []
 
 
@@ -375,6 +496,9 @@ def test_labelling_guard_in_a_worker_is_a_resource_limit(monkeypatch, capsys):
     r = exact_sat(SearchProblem(8, 3, 2), threads=2)
     assert r.status == "resource-limit"
     assert multiprocessing.active_children() == []
+    # the CLI caps its workers at the usable CPUs: let it see two, so
+    # that it starts the pool on a one-CPU machine too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert main(["search", "--n", "8", "--p", "3", "--t", "2", "--threads", "2"]) == 3
     assert '"value": "resource-limit"' in capsys.readouterr().out
     assert multiprocessing.active_children() == []
