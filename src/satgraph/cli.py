@@ -33,7 +33,13 @@ from .hypersat import (
     saturated_hypergraph,
     sidorenko_base,
 )
-from .search import SearchProblem, enumerate_extremal, exact_sat, exact_semi_sat
+from .search import (
+    SearchProblem,
+    _usable_cpus,
+    enumerate_extremal,
+    exact_sat,
+    exact_semi_sat,
+)
 from .verify import (
     bollobas_bound,
     check_bounds,
@@ -289,11 +295,7 @@ def _workers(threads: int, tasks: Optional[int] = None) -> int:
     """The worker processes to start for `--threads`: at most one per task
     and one per CPU this process may run on.  A pool started by fork starts
     all its workers at its first task, however few the tasks."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(threads, cpus, threads if tasks is None else tasks)
+    return min(threads, _usable_cpus(), threads if tasks is None else tasks)
 
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:

@@ -62,11 +62,23 @@ misses that vertex; the first round of refinement orders vertices by
 ascending degree, so the last cell lies inside the class of maximum
 degree.
 
-No state is shared between subtrees, so a level is split: its kept
-prefixes are grown one vertex at a time until there are enough subtrees
-to share, and those run in worker processes or in process, one task
-each.  The canonical solution sets merge by union, and the node count
-is the size of one fixed tree, whatever the worker count.
+The verdict of these three stages depends on the labelled prefix graph
+alone, not on m, the deficit, t, p or the mode, and iterative deepening
+walks the same prefixes again at every level.  So each search keeps a
+memo from a prefix (its lower-triangle adjacency bits under a leading 1,
+which fixes k) to its canonical form if it passes the three stages, else
+None.  A hit gives the decision a labelling would, so node counts,
+values, witnesses and extremal lists are those without the memo.  The
+sibling test depends on the parent and is made on every visit.  The
+memo stops growing at `_MEMO_CAP` entries (a few MB) and is dropped when
+the search returns; each worker process keeps one for all its tasks,
+started from the search's when the worker is forked, empty otherwise.
+
+No state that decides anything is shared between subtrees, so a level
+is split: its kept prefixes are grown one vertex at a time until there
+are enough subtrees to share, and those run in worker processes or in
+process, one task each.  The canonical solution sets merge by union, and
+the node count is the size of one fixed tree, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -243,11 +255,32 @@ def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
     return owed
 
 
-def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: _Budget):
+# Canonical-deletion verdicts one search keeps, at most; past this the
+# memo stops growing (the 10-vertex semi proof meets 302,785 prefixes).
+_MEMO_CAP = 1 << 16
+_UNSEEN = object()
+
+
+def _verdict(prefix: list[int]) -> Optional[int]:
+    """The canonical form of the prefix graph (adjacency masks) if the
+    canonical labelling puts its last vertex, or one in that vertex's
+    orbit, last; else None.  Depends on the labelled graph alone."""
+    k = len(prefix)
+    cells = _root_cells(prefix, k - 1)
+    if cells is None:
+        return None
+    labeling, packed, orbit = _labelling(k, prefix, cells)
+    return packed if orbit[labeling[-1]] == orbit[k - 1] else None
+
+
+def _search(
+    problem: SearchProblem, m: int, state, stop: Optional[int], budget: _Budget, memo: dict
+):
     """Walk one level-m subtree: from the root when `state` is None, else
     from a prefix that an earlier walk returned.  Returns (solutions, frontier):
     the canonical forms of the solutions found, and the accepted prefixes
-    of `stop` vertices, where the walk halts (never, when `stop` is None)."""
+    of `stop` vertices, where the walk halts (never, when `stop` is None).
+    `memo` holds canonical-deletion verdicts by prefix (see `_verdict`)."""
     n, p, t = problem.n, problem.p, problem.t
     free_mode = problem.mode != "semi"
     exact_mode = problem.mode == "sat-exact"
@@ -260,28 +293,30 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
     solutions: set[int] = set()
     frontier: list[tuple] = []
     # a loop over an explicit stack of (op, pair index, edges, deficit,
-    # owed, sibling set), not recursion: CPython maps and unmaps a frame
-    # chunk each time a deep recursion crosses a chunk boundary
+    # owed, parent), not recursion: CPython maps and unmaps a frame chunk
+    # each time a deep recursion crosses a chunk boundary.  parent is the
+    # last kept prefix: its memo key and its children's canonical forms.
     stack: list[tuple] = []
 
-    def expand(idx: int, e: int, deficit: int, owed: int, siblings: set[int]) -> None:
+    def expand(idx: int, e: int, deficit: int, owed: int, parent: tuple) -> None:
         """Push the children of the node before pair idx: take it, then skip it."""
         j, k = pairs[idx]
         # skipping leaves j n-1-k pairs for its need, max(t - deg j, [j owed])
         if max(t - deg[j], owed >> j & 1) <= n - 1 - k and deg[k] + (n - 2 - j) >= t:
-            stack.append((_VISIT, idx + 1, e, deficit, owed, siblings))
+            stack.append((_VISIT, idx + 1, e, deficit, owed, parent))
         if e < m and deg[j] < capd and deg[k] < capd and not (
             free_mode and find_clique_in_mask(adj, adj[j] & adj[k], p - 2) is not None
         ):
-            stack.append((_TAKE, idx, e, deficit, owed, siblings))
+            stack.append((_TAKE, idx, e, deficit, owed, parent))
 
     if state is None:
-        stack.append((_VISIT, 0, 0, t * n, 0, set()))
+        # the one-vertex prefix has no pair: its key is the sentinel alone
+        stack.append((_VISIT, 0, 0, t * n, 0, (1, set())))
     else:
-        idx, e, deficit, owed, adj[:], deg[:] = state
-        expand(idx, e, deficit, owed, set())
+        idx, e, deficit, owed, key, adj[:], deg[:] = state
+        expand(idx, e, deficit, owed, (key, set()))
     while stack:
-        op, idx, e, deficit, owed, siblings = stack.pop()
+        op, idx, e, deficit, owed, parent = stack.pop()
         if op != _VISIT:
             j, k = pairs[idx]
             if op == _UNDO:
@@ -290,7 +325,7 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
                 adj[j] &= ~(1 << k)
                 adj[k] &= ~(1 << j)
                 continue
-            stack.append((_UNDO, idx, e, deficit, owed, siblings))
+            stack.append((_UNDO, idx, e, deficit, owed, parent))
             # an edge to a later vertex pays j's debt
             deficit -= (deg[j] < t or owed >> j & 1) + (deg[k] < t)
             owed &= ~(1 << j)
@@ -316,20 +351,23 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
             owed = fresh
             if deficit > 2 * (m - e):
                 continue
+            # the parent's key, then the bits of k-1's row below the
+            # diagonal: all of adj[k-1] now
+            key = parent[0] << (k - 1) | adj[k - 1]
             if iso and k >= 3:
-                prefix = adj[:k]
-                cells = _root_cells(prefix, k - 1)
-                if cells is None:
+                packed = memo.get(key, _UNSEEN)
+                if packed is _UNSEEN:
+                    packed = _verdict(adj[:k])
+                    if len(memo) < _MEMO_CAP:
+                        memo[key] = packed
+                if packed is None or packed in parent[1]:
                     continue
-                labeling, packed, orbit = _labelling(k, prefix, cells)
-                if orbit[labeling[-1]] != orbit[k - 1] or packed in siblings:
-                    continue
-                siblings.add(packed)
+                parent[1].add(packed)
             if k == stop:
-                frontier.append((idx, e, deficit, owed, tuple(adj), tuple(deg)))
+                frontier.append((idx, e, deficit, owed, key, tuple(adj), tuple(deg)))
                 continue
-            siblings = set()
-        expand(idx, e, deficit, owed, siblings)
+            parent = (key, set())
+        expand(idx, e, deficit, owed, parent)
     return solutions, frontier
 
 
@@ -341,33 +379,45 @@ def _search(problem: SearchProblem, m: int, state, stop: Optional[int], budget: 
 _SUBTREES = 32
 _NODES_PER_SUBTREE = 100_000
 
-# Set in each worker process by the pool's initializer.
+# Set in each worker process by the pool's initializer: the pool's stop
+# flag, and the memo the worker keeps for all its tasks.
 _worker_stop = None
+_worker_memo: Optional[dict] = None
 
 
-def _init_worker(stop) -> None:
-    global _worker_stop
-    _worker_stop = stop
+def _init_worker(stop, memo: dict) -> None:
+    global _worker_stop, _worker_memo
+    _worker_stop, _worker_memo = stop, memo
 
 
-def _subtree(problem: SearchProblem, m: int, state, nodes_left: int, deadline: float):
+def _subtree(
+    problem: SearchProblem, m: int, state, nodes_left: int, deadline: float, memo: dict
+):
     """One task: (solutions, nodes) of the subtree below `state`; the
     solutions are None when the task ran out of nodes or time."""
     budget = _Budget(nodes_left, deadline, _worker_stop)
     try:
-        solutions, _ = _search(problem, m, state, None, budget)
+        solutions, _ = _search(problem, m, state, None, budget, memo)
     except BudgetExceededError:
         return None, budget.nodes
     return solutions, budget.nodes
 
 
+def _worker_subtree(*call):
+    """`_subtree(*call)` in a worker, with the worker's memo."""
+    return _subtree(*call, _worker_memo)
+
+
 class _Pool:
     """The worker processes of one search, started when a level first has
-    subtrees to share (no more of them than it has subtrees).  `close`
-    stops their tasks and joins them."""
+    subtrees to share (no more of them than it has subtrees).  Forked
+    workers start from the contents of the search's memo at that time;
+    spawned ones start empty, rather than be sent a copy.  `close` stops
+    their tasks and joins them."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, memo: dict):
         self.size = size
+        self.memo = memo
         self._executor: Optional[ProcessPoolExecutor] = None
         self._stop = None
 
@@ -379,11 +429,12 @@ class _Pool:
             # about 300 ms, a third of a whole single-level search
             context = multiprocessing.get_context()
             self._stop = context.Event()
+            memo = self.memo if context.get_start_method() == "fork" else {}
             self._executor = ProcessPoolExecutor(
                 min(self.size, len(calls)), mp_context=context,
-                initializer=_init_worker, initargs=(self._stop,),
+                initializer=_init_worker, initargs=(self._stop, memo),
             )
-        futures = [self._executor.submit(_subtree, *call) for call in calls]
+        futures = [self._executor.submit(_worker_subtree, *call) for call in calls]
         for future in as_completed(futures):
             yield future.result()
 
@@ -394,7 +445,8 @@ class _Pool:
 
 
 def _run_level(
-    problem: SearchProblem, m: int, budget: _Budget, pool: Optional[_Pool], subtrees: int
+    problem: SearchProblem, m: int, budget: _Budget, pool: Optional[_Pool], subtrees: int,
+    memo: dict,
 ) -> set[int]:
     """The canonical forms of every level-m solution (empty iff level m is
     infeasible).  The prefixes are expanded one vertex at a time until
@@ -405,14 +457,14 @@ def _run_level(
     while len(frontier) < subtrees and stop < problem.n:
         grown = []
         for state in frontier:
-            grown += _search(problem, m, state, stop, budget)[1]  # no leaf lies above stop
+            grown += _search(problem, m, state, stop, budget, memo)[1]  # no leaf lies above stop
         frontier, stop = grown, stop + 1
     if pool is not None and len(frontier) >= subtrees:
         left = budget.limit - budget.nodes
         results = pool.map([(problem, m, s, left, budget.deadline) for s in frontier])
     else:
         results = (
-            _subtree(problem, m, s, budget.limit - budget.nodes, budget.deadline)
+            _subtree(problem, m, s, budget.limit - budget.nodes, budget.deadline, memo)
             for s in frontier
         )
     solutions: set[int] = set()
@@ -438,6 +490,14 @@ def _verify_witness(problem: SearchProblem, g: Graph, value: int) -> None:
         raise IntegrityError("witness fails its own mode checker")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> SearchResult:
     n, p, t = problem.n, problem.p, problem.t
     if n > problem.max_n:
@@ -445,7 +505,7 @@ def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> Sea
     if p > n:
         raise DomainError(f"need p <= n, got p = {p}, n = {n}")
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = _usable_cpus()
     if threads < 1:
         raise DomainError(f"need threads >= 1, got {threads}")
     start = time.monotonic()
@@ -464,13 +524,14 @@ def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> Sea
         cap = min(cap, problem.edge_budget)
     solutions: set[int] = set()
     value = None
-    pool = _Pool(threads) if threads > 1 else None
+    memo: dict = {}  # prefix key -> verdict, for this search only
+    pool = _Pool(threads, memo) if threads > 1 else None
     spent = 0  # nodes of the level before
     try:
         for m in range(m_lo, cap + 1):
             before = budget.nodes
             subtrees = max(_SUBTREES, spent // _NODES_PER_SUBTREE)
-            solutions = _run_level(problem, m, budget, pool, subtrees)
+            solutions = _run_level(problem, m, budget, pool, subtrees, memo)
             spent = budget.nodes - before
             if solutions:
                 value = m
@@ -499,7 +560,8 @@ def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> Sea
 
 def exact_sat(problem: SearchProblem, threads: Optional[int] = None) -> SearchResult:
     """Minimum edges of a saturated graph under the problem's degree mode.
-    `threads` worker processes share each level (default: one per CPU)."""
+    `threads` worker processes share each level (default: one per CPU
+    this process may run on)."""
     if problem.mode not in ("sat", "sat-exact"):
         raise DomainError(f"exact_sat needs mode sat or sat-exact, got {problem.mode!r}")
     return _solve(problem, False, threads)

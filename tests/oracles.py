@@ -370,11 +370,13 @@ def extended_atlas_optima() -> dict:
 
     Every graph on 8 vertices, less any one vertex, is a 7-vertex graph,
     so it is isomorphic to some 7-vertex atlas graph plus a vertex with
-    one of the 128 neighbourhoods; no isomorphism test is needed for a
-    minimum.  For each point (8, p, t, mode) with 3 <= p <= 8 and
-    0 <= t <= 7 returns the least edge count, or None when no graph
-    qualifies.  Modes as in `brute_optimum`.  networkx supplies the atlas
-    only; the rest works on plain adjacency masks.
+    one of the 128 neighbourhoods: every class is met, most of them more
+    than once.  For each point (8, p, t, mode) with 3 <= p <= 8 and
+    0 <= t <= 7 returns (least edge count, one networkx graph per class
+    attaining it), or (None, []) when no graph qualifies.  Modes as in
+    `brute_optimum`.  networkx supplies the atlas and groups the attaining
+    graphs into classes (`is_isomorphic`); the rest works on plain
+    adjacency masks.
     """
     import networkx
 
@@ -402,8 +404,38 @@ def extended_atlas_optima() -> dict:
                 for t in range(delta + 1):
                     for mode, ok in (("sat", free), ("sat-exact", free and t == delta),
                                      ("semi", True)):
-                        point = (n, p, t, mode)
-                        if ok and (table.get(point) is None or edges < table[point]):
-                            table[point] = edges
-    return {(n, p, t, mode): table.get((n, p, t, mode))
-            for p in range(3, n + 1) for t in range(n) for mode in ("sat", "sat-exact", "semi")}
+                        if not ok:
+                            continue
+                        best = table.get((n, p, t, mode))
+                        if best is None or edges < best[0]:
+                            table[n, p, t, mode] = best = (edges, set())
+                        if edges == best[0]:
+                            best[1].add(tuple(adj))
+    # each labelled graph joins the class of the first isomorphic one met;
+    # graphs with different sorted degree sequences are never compared
+    reps: dict = {}
+    classes: dict = {}
+
+    def class_of(adj):
+        if adj not in classes:
+            g = networkx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from((u, v) for u in range(n) for v in range(u) if adj[u] >> v & 1)
+            bucket = reps.setdefault(tuple(sorted(a.bit_count() for a in adj)), [])
+            for h in bucket:
+                if networkx.is_isomorphic(g, h):
+                    classes[adj] = h
+                    break
+            else:
+                bucket.append(g)
+                classes[adj] = g
+        return classes[adj]
+
+    out = {}
+    for p in range(3, n + 1):
+        for t in range(n):
+            for mode in ("sat", "sat-exact", "semi"):
+                value, graphs = table.get((n, p, t, mode), (None, ()))
+                found = {id(g): g for g in map(class_of, sorted(graphs))}
+                out[n, p, t, mode] = (value, list(found.values()))
+    return out

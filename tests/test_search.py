@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import permutations
 
 import pytest
@@ -381,15 +381,32 @@ def _check_extended_points(extended_atlas, points):
     for n, p, t, mode in points:
         r = (exact_semi_sat if mode == "semi" else exact_sat)(
             SearchProblem(n, p, t, mode=mode), threads=1)
-        value = extended_atlas[n, p, t, mode]
+        value, _ = extended_atlas[n, p, t, mode]
         assert r.status == ("infeasible" if value is None else "ok"), (n, p, t, mode)
         assert r.value == value, (n, p, t, mode)
+
+
+def _check_extended_classes(extended_atlas, points):
+    """`enumerate_extremal` lists each attaining class once, and no other
+    graph: the canonical forms the search collects, memoised or not, are
+    those of distinct optimal graphs."""
+    import networkx
+
+    for point in points:
+        value, classes = extended_atlas[point]
+        r = enumerate_extremal(SearchProblem(*point[:3], mode=point[3]), threads=1)
+        assert r.value == value, point
+        listed = [networkx.from_graph6_bytes(s.encode()) for s in r.extremal]
+        assert len(listed) == len(classes), point
+        for g in listed:
+            assert sum(networkx.is_isomorphic(g, h) for h in classes) == 1, point
 
 
 def test_extended_atlas_oracle_spot_points(extended_atlas):
     """n = 8 minima, one vertex past the atlas, at a few cheap points."""
     assert len(extended_atlas) == 144
-    assert sum(v is not None for v in extended_atlas.values()) == 105
+    assert sum(value is not None for value, _ in extended_atlas.values()) == 105
+    assert sum(len(classes) for _, classes in extended_atlas.values()) == 139
     _check_extended_points(extended_atlas, [
         (8, 3, 2, "sat"), (8, 3, 3, "sat-exact"), (8, 3, 4, "semi"), (8, 3, 5, "sat"),
         (8, 5, 4, "sat"), (8, 6, 5, "sat"), (8, 6, 6, "sat-exact"), (8, 7, 3, "sat-exact"),
@@ -402,6 +419,25 @@ def test_extended_atlas_oracle_spot_points(extended_atlas):
 )
 def test_extended_atlas_oracle_all_points(extended_atlas):
     _check_extended_points(extended_atlas, sorted(extended_atlas))
+
+
+def test_extended_atlas_oracle_class_lists(extended_atlas):
+    """n = 8 class lists at the points with the most optimal classes
+    (11, 6, 4, 4, 3, 3, 3, 2, 2, 2), about 0.7 s together."""
+    _check_extended_classes(extended_atlas, [
+        (8, 4, 4, "semi"), (8, 3, 4, "semi"), (8, 3, 2, "semi"), (8, 4, 3, "semi"),
+        (8, 4, 4, "sat"), (8, 3, 5, "semi"), (8, 4, 5, "semi"), (8, 3, 2, "sat"),
+        (8, 4, 3, "sat-exact"), (8, 3, 3, "semi"),
+    ])
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATGRAPH_LONG_TESTS"),
+    reason="the class lists of all 105 feasible points, about 25 s; set SATGRAPH_LONG_TESTS=1",
+)
+def test_extended_atlas_oracle_all_class_lists(extended_atlas):
+    _check_extended_classes(extended_atlas, sorted(
+        point for point, (value, _) in extended_atlas.items() if value is not None))
 
 
 class _CountingPool(ProcessPoolExecutor):
@@ -442,10 +478,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert serial.nodes == nodes, problem
 
 
-def test_prefix_labelling_counts(monkeypatch):
-    # canonical deletion labels only the prefixes whose new vertex passes
-    # the degree and root-partition stages (1,385 and 7,176 without them);
-    # the node counts, 6,933 and 34,888 above, do not move
+def _count_labellings(monkeypatch) -> list:
     calls = []
     labelling = satgraph.search._labelling
 
@@ -454,11 +487,129 @@ def test_prefix_labelling_counts(monkeypatch):
         return labelling(*args)
 
     monkeypatch.setattr(satgraph.search, "_labelling", counted)
-    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 525),
-                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 1_612)]:
+    return calls
+
+
+def test_prefix_labelling_counts(monkeypatch):
+    # canonical deletion labels only the prefixes whose new vertex passes
+    # the degree and root-partition stages, and each such prefix once per
+    # search, as the memo keeps its verdict for the later edge levels
+    # (525, 1,612 and 1,848 labellings when every level labels again;
+    # 1,385 and 7,176 without the two stages either); the node counts,
+    # 6,933 and 34,888 above, do not move
+    calls = _count_labellings(monkeypatch)
+    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 231),
+                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 682),
+                                  (exact_sat, SearchProblem(9, 3, 2), 723)]:
         calls.clear()
         solve(problem, threads=1)
         assert len(calls) == count, problem
+
+
+def _memo_results(cases):
+    return [(_without_time(r), r.extremal) for r in (
+        enumerate_extremal(SearchProblem(n, p, t, mode=mode), threads=1)
+        for n, p, t, mode in cases)]
+
+
+def _record_memos(monkeypatch) -> list:
+    """Record (memo, its size then) at each `_search` call."""
+    memos = []
+    search = satgraph.search._search
+    monkeypatch.setattr(satgraph.search, "_search",
+                        lambda *args: memos.append((args[-1], len(args[-1]))) or search(*args))
+    return memos
+
+
+def test_memo_changes_no_result(monkeypatch):
+    """The verdicts the memo keeps are those the labeller would give again:
+    the default cap, a tiny one, or none at all give the same values,
+    witnesses, node counts and extremal lists."""
+    cases = [(n, p, t, mode) for n in range(3, 7) for p in range(3, n + 1)
+             for t in range(n) for mode in ("sat", "sat-exact", "semi")]
+    cases += [(8, 3, 2, "sat"), (8, 4, 3, "semi"), (9, 3, 2, "sat")]
+    default = _memo_results(cases)
+    monkeypatch.setattr(satgraph.search, "_MEMO_CAP", 0)
+    assert _memo_results(cases) == default
+    memos = _record_memos(monkeypatch)
+    monkeypatch.setattr(satgraph.search, "_MEMO_CAP", 8)
+    assert _memo_results(cases) == default
+    assert max(len(memo) for memo, _ in memos) == 8  # filled, and never past the cap
+
+
+def test_memo_keys_are_the_prefix_bits(monkeypatch):
+    """Each memo key is the prefix's lower-triangle adjacency bits, row by
+    row, under a leading 1, and its value the verdict of that prefix."""
+    judged = {}
+    verdict = satgraph.search._verdict
+
+    def recorded(prefix):
+        key = 1
+        for v, row in enumerate(prefix):
+            key = key << v | row & ((1 << v) - 1)
+        judged[key] = verdict(prefix)
+        return judged[key]
+
+    monkeypatch.setattr(satgraph.search, "_verdict", recorded)
+    memos = _record_memos(monkeypatch)
+    for problem in (SearchProblem(8, 3, 2), SearchProblem(8, 4, 3, mode="semi")):
+        judged.clear()
+        (exact_semi_sat if problem.mode == "semi" else exact_sat)(problem, threads=1)
+        assert memos[-1][0] == judged and len(judged) > 200
+
+
+def test_memo_lives_for_one_search(monkeypatch):
+    """Each search starts with an empty memo of its own, so a repeated
+    search labels as many prefixes as the first; none is left in the
+    module."""
+    calls = _count_labellings(monkeypatch)
+    memos = _record_memos(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        memos.clear()
+        exact_sat(SearchProblem(8, 3, 2), threads=1)
+        counts.append(len(calls))
+        assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
+        assert len(memos[0][0]) > 0
+    assert counts == [231, 231]
+    exact_sat(SearchProblem(8, 3, 2), threads=2)
+    assert satgraph.search._worker_memo is None
+
+
+class _InProcessPool:
+    """Stands in for the search's worker pool: records its size, starts
+    no process, and runs each task in process as a worker would."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    # a library call, like the CLI, starts no more workers than the CPUs
+    # this process may run on; an explicit count is taken as given
+    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    # what the stand-in's initializer sets in this process
+    monkeypatch.setattr(satgraph.search, "_worker_stop", None)
+    monkeypatch.setattr(satgraph.search, "_worker_memo", None)
+    serial = _without_time(exact_sat(SearchProblem(8, 3, 2), threads=1))
+    for cpus, threads, sizes in [({0}, None, []), ({0, 1, 2}, None, [3]), ({0}, 2, [2])]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        _InProcessPool.sizes.clear()
+        assert _without_time(exact_sat(SearchProblem(8, 3, 2), threads=threads)) == serial
+        assert _InProcessPool.sizes == sizes, (cpus, threads)
 
 
 def test_threads_must_be_positive():
