@@ -300,7 +300,7 @@ def _workers(threads: int, tasks: Optional[int] = None) -> int:
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=_threads, default=os.cpu_count() or 1,
-                        help="worker processes (default: one per CPU)")
+                        help="worker processes (default: one per usable CPU)")
 
 
 @functools.cache

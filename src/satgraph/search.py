@@ -14,14 +14,15 @@ reachability of that need, the degree cap 2m - t(n-1), and (for the
 saturated modes) refusing any edge that would complete a p-clique.
 
 A vertex's need is the number of edges it must still gain: t - deg v,
-and at least 1 if v owes saturation debt.  Every mode asks each
-non-adjacent pair u, v to hold a K_{p-2} in N(u) & N(v).  At a column
-boundary k (vertices 0..k-1 complete, no edge to k yet) a prefix pair
-without one can be closed only by a later vertex, adjacent to both, so
-each end of degree >= t owes an edge to a later vertex (see `_owed`).
-An edge pays at most two needs, so a node is cut when the total need
-exceeds 2(m - e).  Inside column k the debt is carried: the edge (j, k)
-pays j's, and j may not skip the last column while it owes.
+and at least 1 if v owes saturation debt.  A pair u, v is closed when
+N(u) & N(v) holds a K_{p-2}; every mode asks it of each non-edge, and
+the clique refusal is the same test (`_closed`) on an edge to be taken.
+At a column boundary k (vertices 0..k-1 complete, no edge to k yet) a
+prefix pair not closed can be closed only by a later vertex, adjacent to
+both, so each end of degree >= t owes an edge to a later vertex (see
+`_owed`).  An edge pays at most two needs, so a node is cut when the
+total need exceeds 2(m - e).  Inside column k the debt is carried: the
+edge (j, k) pays j's, and j may not skip the last column while it owes.
 
 Isomorph rejection is canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Column k decides the
@@ -212,9 +213,24 @@ class _Budget:
 _VISIT, _TAKE, _UNDO = range(3)
 
 
+def _closed(adj: list[int], common: int, p: int) -> bool:
+    """True iff the mask `common` holds a K_{p-2}.  Taken on N(u) & N(v),
+    it says that adding the pair uv would complete a p-clique."""
+    if p == 3:
+        return common != 0
+    if p == 4:
+        while common:  # an edge inside: its upper end meets the rest
+            w = common.bit_length() - 1
+            common ^= 1 << w
+            if adj[w] & common:
+                return True
+        return False
+    return find_clique_in_mask(adj, common, p - 2) is not None
+
+
 def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
     """Mask of the vertices v < k of degree >= t with a non-neighbour u < k
-    such that N(u) & N(v) holds no K_{p-2}, where vertices 0..k-1 are
+    such that the pair uv is not closed, where vertices 0..k-1 are
     complete and no edge reaches k: that pair can be closed only by a
     later vertex, so v needs an edge to one."""
     full = (1 << k) - 1
@@ -224,32 +240,10 @@ def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
             continue
         av = adj[v]
         others = full & ~av & ~(1 << v)
-        if p == 3:
-            # u is closed with v iff it is adjacent to some neighbour of v
-            rest = av
-            while rest and others:
-                low = rest & -rest
-                rest ^= low
-                others &= ~adj[low.bit_length() - 1]
-            if others:
-                owed |= 1 << v
-            continue
         while others:
             low = others & -others
             others ^= low
-            common = adj[low.bit_length() - 1] & av
-            if p == 4:
-                # closed iff some edge lies inside the common neighbourhood
-                rest = common
-                while rest:
-                    w = rest & -rest
-                    rest ^= w
-                    if adj[w.bit_length() - 1] & common:
-                        break
-                else:
-                    owed |= 1 << v
-                    break
-            elif find_clique_in_mask(adj, common, p - 2) is None:
+            if not _closed(adj, adj[low.bit_length() - 1] & av, p):
                 owed |= 1 << v
                 break
     return owed
@@ -305,7 +299,7 @@ def _search(
         if max(t - deg[j], owed >> j & 1) <= n - 1 - k and deg[k] + (n - 2 - j) >= t:
             stack.append((_VISIT, idx + 1, e, deficit, owed, parent))
         if e < m and deg[j] < capd and deg[k] < capd and not (
-            free_mode and find_clique_in_mask(adj, adj[j] & adj[k], p - 2) is not None
+            free_mode and _closed(adj, adj[j] & adj[k], p)
         ):
             stack.append((_TAKE, idx, e, deficit, owed, parent))
 

@@ -49,9 +49,11 @@ __all__ = [
 
 # -- saturation checkers ---------------------------------------------------
 
-def _check_p(p: int) -> None:
+def _check_p(p: int, t: int = 0) -> None:
     if p < 3:
         raise DomainError(f"clique order must be >= 3, got {p}")
+    if t < 0:
+        raise DomainError(f"need a degree >= 0, got {t}")
 
 
 def is_kp_free(g: Graph, p: int) -> bool:
@@ -162,7 +164,7 @@ def ehm_bound(n: int, p: int) -> int:
 def dh_semi_bound(n: int, delta: int, p: int) -> Fraction:
     """(n-delta-1)(delta+p-2)/2 + delta - C(p-2,2): a lower bound for
     K_p-saturated and K_p-semi-saturated graphs with minimum degree delta."""
-    _check_p(p)
+    _check_p(p, delta)
     return Fraction((n - delta - 1) * (delta + p - 2), 2) + delta - comb(p - 2, 2)
 
 
@@ -197,7 +199,7 @@ semi_sat_lower_bound = dh_mixed_bound
 def semi_sat_upper_bound(n: int, p: int, t: int) -> int:
     """ceil((t+p-2)(n-(p-2))/2) + C(p-2,2): edges of the clique-join
     construction, an upper bound on the same minimum."""
-    _check_p(p)
+    _check_p(p, t)
     tq = t + p - 2
     return -((-tq * (n - (p - 2))) // 2) + comb(p - 2, 2)
 
@@ -258,6 +260,8 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
     A violated proven lower bound on a subject whose saturation was just
     verified is impossible; if observed it raises FatalInconsistencyError.
     """
+    if t is not None and t < 0:
+        raise DomainError(f"need t >= 0, got {t}")
     if isinstance(subject, Hypergraph):
         return _check_hypergraph(subject, p, t)
     return _check_graph(subject, p, t)

@@ -477,6 +477,16 @@ def test_bounds_fractional_values_use_pairs():
     assert isinstance(bounds["closure_tower"], int)
 
 
+def test_negative_degree_is_a_domain_error():
+    for argv, stdin in [(["verify", "--p", "3", "--t", "-1"], "Dhc\n"),
+                        (["bounds", "--n", "5", "--p", "3", "--t", "-2"], "")]:
+        code, out, err = run(argv, stdin)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        reason = json.loads(err)
+        assert reason["error"] == "domain" and f">= 0, got {argv[-1]}" in reason["detail"]
+
+
 def test_table_renders_grid():
     rows = []
     for n, p, t in [(5, 3, 2), (6, 3, 2), (4, 3, 3)]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -335,6 +335,26 @@ def _check_debt(atlas, sizes):
     return len(checks)
 
 
+def test_closed_pair_test_matches_the_definition():
+    """`_closed` on N(u) & N(v), against a scan of its (p-2)-subsets for a
+    clique, at every vertex pair of every atlas graph (n <= 7)."""
+    import networkx
+
+    seen = set()
+    for g in networkx.graph_atlas_g():
+        n = g.number_of_nodes()
+        adj = [sum(1 << w for w in g[v]) for v in range(n)]
+        for u, v in combinations(range(n), 2):
+            common = set(g[u]) & set(g[v])
+            for p in range(3, 8):
+                want = any(all(g.has_edge(a, b) for a, b in combinations(c, 2))
+                           for c in combinations(common, p - 2))
+                assert satgraph.search._closed(adj, adj[u] & adj[v], p) == want, (
+                    networkx.to_graph6_bytes(g), u, v, p)
+                seen.add((p, want))
+    assert len(seen) == 10  # every p in 3..7 gives both answers somewhere
+
+
 def test_saturation_debt_never_cuts_an_atlas_solution(atlas):
     assert _check_debt(atlas, range(3, 7)) == 51
 
@@ -503,6 +523,19 @@ def test_prefix_labelling_counts(monkeypatch):
                                   (exact_sat, SearchProblem(9, 3, 2), 723)]:
         calls.clear()
         solve(problem, threads=1)
+        assert len(calls) == count, problem
+
+
+def test_clique_search_counts(monkeypatch):
+    # the clique refusal and the debt rule answer p = 3 and p = 4 by mask
+    # tests; only p >= 5 runs the generic clique search
+    calls = []
+    find = satgraph.search.find_clique_in_mask
+    monkeypatch.setattr(satgraph.search, "find_clique_in_mask",
+                        lambda *args: calls.append(args) or find(*args))
+    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 24_820)]:
+        calls.clear()
+        exact_sat(problem, threads=1)
         assert len(calls) == count, problem
 
 

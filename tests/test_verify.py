@@ -187,6 +187,18 @@ def test_check_bounds_on_hypergraph():
     ]
 
 
+def test_negative_degree_is_a_domain_error():
+    for call in (lambda: dh_semi_bound(5, -1, 3), lambda: dh_mixed_bound(5, 3, -1),
+                 lambda: semi_sat_lower_bound(5, 3, -2), lambda: semi_sat_upper_bound(5, 3, -2),
+                 lambda: check_bounds(cycle(5), 3, -1),
+                 lambda: check_bounds(bollobas_extremal(8, 3, 5), 5, -1)):
+        with pytest.raises(DomainError):
+            call()
+    # t = 0 is a degree like any other
+    assert dh_semi_bound(5, 0, 3) == 2 and semi_sat_upper_bound(5, 3, 0) == 2
+    assert check_bounds(cycle(5), 3, 0).t == 0
+
+
 def test_check_bounds_flags_violated_lower_bound_as_fatal(monkeypatch):
     monkeypatch.setattr(verify, "ehm_bound", lambda n, p: 10**6)
     with pytest.raises(FatalInconsistencyError) as err:
