@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graph6 import decode, encode
 from .graphs import Graph, iter_bits, mask_of
-from .verify import is_saturated
+from .verify import _check_p, is_saturated
 
 __all__ = [
     "ClosureState",
@@ -250,6 +250,7 @@ def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Cer
     """Run the engine to completion on a K_p-saturated graph with minimum
     degree >= t and return the certificate for e(G) >= t(n - |R*|)."""
     _need_t(t)
+    _check_p(p)
     if g.n == 0:
         raise DomainError("empty graph")
     if g.min_degree() < t:

@@ -76,10 +76,11 @@ the search returns; each worker process keeps one for all its tasks,
 started from the search's when the worker is forked, empty otherwise.
 
 No state that decides anything is shared between subtrees, so a level
-is split: its kept prefixes are grown one vertex at a time until there
-are enough subtrees to share, and those run in worker processes or in
-process, one task each.  The canonical solution sets merge by union, and
-the node count is the size of one fixed tree, whatever the worker count.
+is split only when a worker pool shares it: its kept prefixes are grown
+one vertex at a time until there are enough subtrees, one task each.
+Otherwise the level is finished in process, on the search's own budget.
+The canonical solution sets merge by union, and the node count is the
+size of one fixed tree, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -184,7 +185,9 @@ class SearchResult:
 
 class _Budget:
     """Nodes and time left to one process's share of a search.  `stop` is
-    the pool's flag: once set, the worker's task ends as if out of time."""
+    the pool's flag: once set, the worker's task ends as if out of time.
+    The clock and the flag are read at a budget's first node and every
+    8,192 nodes after, so a walk can pass its deadline by that many."""
 
     __slots__ = ("nodes", "limit", "deadline", "stop")
 
@@ -198,13 +201,13 @@ class _Budget:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExceededError("node budget exhausted")
-        if not self.nodes & 8191 and (
+        if self.nodes & 8191 == 1 and (
             time.monotonic() > self.deadline or self.stop is not None and self.stop.is_set()
         ):
             raise BudgetExceededError("time budget exhausted")
 
     def charge(self, nodes: int):
-        """Add the nodes a subtree task spent."""
+        """Add the nodes a worker's task spent."""
         self.nodes += nodes
         if self.nodes > self.limit:
             raise BudgetExceededError("node budget exhausted")
@@ -384,22 +387,16 @@ def _init_worker(stop, memo: dict) -> None:
     _worker_stop, _worker_memo = stop, memo
 
 
-def _subtree(
-    problem: SearchProblem, m: int, state, nodes_left: int, deadline: float, memo: dict
-):
-    """One task: (solutions, nodes) of the subtree below `state`; the
-    solutions are None when the task ran out of nodes or time."""
+def _subtree(problem: SearchProblem, m: int, state, nodes_left: int, deadline: float):
+    """One worker task: (solutions, nodes) of the subtree below `state`,
+    with the worker's memo; the solutions are None when the task ran out
+    of nodes or time."""
     budget = _Budget(nodes_left, deadline, _worker_stop)
     try:
-        solutions, _ = _search(problem, m, state, None, budget, memo)
+        solutions, _ = _search(problem, m, state, None, budget, _worker_memo)
     except BudgetExceededError:
         return None, budget.nodes
     return solutions, budget.nodes
-
-
-def _worker_subtree(*call):
-    """`_subtree(*call)` in a worker, with the worker's memo."""
-    return _subtree(*call, _worker_memo)
 
 
 class _Pool:
@@ -428,7 +425,7 @@ class _Pool:
                 min(self.size, len(calls)), mp_context=context,
                 initializer=_init_worker, initargs=(self._stop, memo),
             )
-        futures = [self._executor.submit(_worker_subtree, *call) for call in calls]
+        futures = [self._executor.submit(_subtree, *call) for call in calls]
         for future in as_completed(futures):
             yield future.result()
 
@@ -443,30 +440,27 @@ def _run_level(
     memo: dict,
 ) -> set[int]:
     """The canonical forms of every level-m solution (empty iff level m is
-    infeasible).  The prefixes are expanded one vertex at a time until
-    there are `subtrees` of them; those subtrees then run on the pool, or
-    in process when there is none or the level stayed smaller."""
+    infeasible).  With a pool, the prefixes are expanded one vertex at a
+    time until there are `subtrees` of them, and those go to the pool;
+    what the pool does not take is walked in process on `budget`."""
     frontier: list = [None]
     stop = 3
-    while len(frontier) < subtrees and stop < problem.n:
+    while pool is not None and len(frontier) < subtrees and stop < problem.n:
         grown = []
         for state in frontier:
             grown += _search(problem, m, state, stop, budget, memo)[1]  # no leaf lies above stop
         frontier, stop = grown, stop + 1
+    solutions: set[int] = set()
     if pool is not None and len(frontier) >= subtrees:
         left = budget.limit - budget.nodes
-        results = pool.map([(problem, m, s, left, budget.deadline) for s in frontier])
+        for found, nodes in pool.map([(problem, m, s, left, budget.deadline) for s in frontier]):
+            budget.charge(nodes)
+            if found is None:
+                raise BudgetExceededError("a subtree ran out of its budget")
+            solutions |= found
     else:
-        results = (
-            _subtree(problem, m, s, budget.limit - budget.nodes, budget.deadline, memo)
-            for s in frontier
-        )
-    solutions: set[int] = set()
-    for found, nodes in results:
-        budget.charge(nodes)
-        if found is None:
-            raise BudgetExceededError("a subtree ran out of its budget")
-        solutions |= found
+        for state in frontier:
+            solutions |= _search(problem, m, state, None, budget, memo)[0]
     return solutions
 
 

@@ -56,6 +56,12 @@ def _check_p(p: int, t: int = 0) -> None:
         raise DomainError(f"need a degree >= 0, got {t}")
 
 
+def _check_degree(t: Optional[int]) -> None:
+    """The degree `check_bounds` takes: none, or t >= 0."""
+    if t is not None and t < 0:
+        raise DomainError(f"need t >= 0, got {t}")
+
+
 def is_kp_free(g: Graph, p: int) -> bool:
     _check_p(p)
     return find_clique(g, p) is None
@@ -260,8 +266,7 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
     A violated proven lower bound on a subject whose saturation was just
     verified is impossible; if observed it raises FatalInconsistencyError.
     """
-    if t is not None and t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
+    _check_degree(t)
     if isinstance(subject, Hypergraph):
         return _check_hypergraph(subject, p, t)
     return _check_graph(subject, p, t)

@@ -487,6 +487,19 @@ def test_negative_degree_is_a_domain_error():
         assert reason["error"] == "domain" and f">= 0, got {argv[-1]}" in reason["detail"]
 
 
+def test_verify_and_certify_check_parameters_before_input():
+    # refused once before the first line, with the message the line would
+    # get: an empty stream is refused too, and p = 2 before the degree test
+    for argv, stdin, detail in [
+        (["verify", "--p", "2", "--t", "-1"], "", "need t >= 0, got -1"),
+        (["certify", "--p", "3", "--t", "0"], "", "need t >= 1, got 0"),
+        (["certify", "--p", "2", "--t", "3"], "Dhc\n", "clique order must be >= 3, got 2"),
+    ]:
+        code, out, err = run(argv, stdin)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": "domain", "detail": detail}, argv
+
+
 def test_table_renders_grid():
     rows = []
     for n, p, t in [(5, 3, 2), (6, 3, 2), (4, 3, 3)]:

@@ -151,6 +151,13 @@ def test_certify_rejects_bad_inputs():
         certify(duffus_hanson_t2(9), 3, 0)
 
 
+def test_certify_checks_p_before_the_graph():
+    # the five-cycle has minimum degree 2, below t = 3, but p = 2 is the
+    # first thing wrong with the call
+    with pytest.raises(DomainError, match="clique order must be >= 3, got 2"):
+        certify(decode("Dhc"), 2, 3)
+
+
 def test_certificate_json_round_trip():
     cert = certify(duffus_hanson_t2(9), 3, 2)
     data = cert.to_json()

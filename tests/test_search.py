@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations, permutations
 
@@ -686,3 +688,43 @@ def test_labelling_guard_in_a_worker_is_a_resource_limit(monkeypatch, capsys):
     assert main(["search", "--n", "8", "--p", "3", "--t", "2", "--threads", "2"]) == 3
     assert '"value": "resource-limit"' in capsys.readouterr().out
     assert multiprocessing.active_children() == []
+
+
+def test_time_budget_stops_a_search():
+    # the clock is read at the first node of the search's own walk, and of
+    # each worker task, not only every 8,192 nodes after
+    for threads in (1, 2):
+        r = exact_sat(SearchProblem(9, 3, 2, time_budget=1e-9), threads=threads)
+        assert (r.status, r.nodes) == ("resource-limit", 1), threads
+        assert multiprocessing.active_children() == []
+
+
+def test_worker_task_stops_at_its_first_node(monkeypatch):
+    # a task is run here as a worker would run it, with no process started
+    problem, m = SearchProblem(9, 3, 2), 13
+    search = satgraph.search
+    budget = search._Budget(10**9, time.monotonic() + 60)
+    state = search._search(problem, m, None, 5, budget, {})[1][0]  # a 5-vertex prefix
+    monkeypatch.setattr(search, "_worker_memo", {})
+    flag = threading.Event()
+    monkeypatch.setattr(search, "_worker_stop", flag)
+    found, nodes = search._subtree(problem, m, state, 10**9, time.monotonic() + 60)
+    assert found is not None and nodes > 1
+    assert search._subtree(problem, m, state, 10**9, time.monotonic() - 1) == (None, 1)
+    flag.set()
+    assert search._subtree(problem, m, state, 10**9, time.monotonic() + 60) == (None, 1)
+
+
+def test_serial_search_walks_each_level_once(monkeypatch):
+    # without a pool no level is split into subtrees: one walk from the
+    # root per edge level, on the search's own budget
+    walks, levels = [], []
+    search, run_level = satgraph.search._search, satgraph.search._run_level
+    monkeypatch.setattr(satgraph.search, "_search",
+                        lambda *args: walks.append(args[2]) or search(*args))
+    monkeypatch.setattr(satgraph.search, "_run_level",
+                        lambda *args: levels.append(args[1]) or run_level(*args))
+    r = exact_sat(SearchProblem(9, 3, 2), threads=1)
+    assert (r.value, r.nodes) == (13, 31_279)
+    assert levels == [9, 10, 11, 12, 13]
+    assert walks == [None] * 5
