@@ -24,6 +24,13 @@ both, so each end of degree >= t owes an edge to a later vertex (see
 total need exceeds 2(m - e).  Inside column k the debt is carried: the
 edge (j, k) pays j's, and j may not skip the last column while it owes.
 
+A completed graph is the boundary k = n, with no test of its own.  It
+has e = m, so its need must be 0: every vertex has degree >= t and every
+non-edge is closed, which is semi-saturation; the saturated modes take
+no edge that completes a p-clique, so there it is K_p-free and
+saturated.  Its canonical-deletion verdict gives its canonical form, and
+sat-exact also asks min degree t.
+
 Isomorph rejection is canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Column k decides the
 edges from vertex k to 0..k-1, so each completed column adds one vertex
@@ -96,12 +103,7 @@ from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
-from .verify import (
-    ehm_bound,
-    is_saturated,
-    is_semi_saturated,
-    saturation_holds_masks,
-)
+from .verify import ehm_bound, is_saturated, is_semi_saturated
 
 __all__ = [
     "MODES",
@@ -253,7 +255,7 @@ def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
 
 
 # Canonical-deletion verdicts one search keeps, at most; past this the
-# memo stops growing (the 10-vertex semi proof meets 302,785 prefixes).
+# memo stops growing (the 10-vertex semi proof meets 302,787 prefixes).
 _MEMO_CAP = 1 << 16
 _UNSEEN = object()
 
@@ -335,11 +337,8 @@ def _search(
         budget.tick()
         if e + (total - idx) < m or deficit > 2 * (m - e):
             continue
-        if idx == total:
-            if (not exact_mode or min(deg) == t) and saturation_holds_masks(n, adj, p):
-                solutions.add(canonical_masks(n, adj)[1])
-            continue
-        j, k = pairs[idx]
+        # a completed graph is the boundary k = n
+        j, k = pairs[idx] if idx < total else (0, n)
         if not j and k >= 2:
             # vertices 0..k-1 are complete and no edge reaches k yet;
             # k-1 is the one just added
@@ -360,6 +359,10 @@ def _search(
                 if packed is None or packed in parent[1]:
                     continue
                 parent[1].add(packed)
+            if k == n:
+                if not exact_mode or min(deg) == t:
+                    solutions.add(packed if iso else canonical_masks(n, adj)[1])
+                continue
             if k == stop:
                 frontier.append((idx, e, deficit, owed, key, tuple(adj), tuple(deg)))
                 continue

@@ -99,13 +99,6 @@ def _unsaturated_above(adj: Sequence[int], n: int, u: int, k: int) -> int:
     return rec(adj[u], todo, k, todo)
 
 
-def saturation_holds_masks(n: int, adj: Sequence[int], p: int) -> bool:
-    """Every non-adjacent pair has a (p-2)-clique in its common
-    neighbourhood; freeness is not examined here."""
-    k = p - 2
-    return not any(_unsaturated_above(adj, n, u, k) for u in range(n))
-
-
 def non_saturating_pair(g: Graph, p: int) -> Optional[tuple[int, int]]:
     """Lexicographically least non-edge whose addition creates no new K_p.
 
@@ -189,7 +182,10 @@ def closure_tower_term(t: int) -> int:
     """
     if not 1 <= t <= 3:
         raise DomainError(f"need 1 <= t <= 3, got {t}")
-    return t * (t + 1) ** (t ** (2 * t * t))
+    exponent = t ** (2 * t * t)
+    if t & (t + 1) == 0:  # t + 1 == 2 ** t.bit_length(): shift, far cheaper than the power
+        return t << t.bit_length() * exponent
+    return t * (t + 1) ** exponent
 
 
 def closure_tower_bound(n: int, p: int, t: int) -> int:

@@ -17,6 +17,7 @@ from satgraph.cli import main
 from satgraph.constructions import duffus_hanson_t2, ehm_extremal
 from satgraph.errors import DomainError
 from satgraph.graph6 import decode
+from satgraph.graphs import Graph
 from satgraph.search import (
     SearchProblem,
     enumerate_extremal,
@@ -27,6 +28,7 @@ from satgraph.verify import is_saturated, is_semi_saturated
 
 from oracles import (
     atlas_saturation_optima,
+    brute_is_semi_saturated,
     brute_optimum,
     extended_atlas_optima,
     saturation_debt,
@@ -357,6 +359,31 @@ def test_closed_pair_test_matches_the_definition():
     assert len(seen) == 10  # every p in 3..7 gives both answers somewhere
 
 
+def test_completed_graph_boundary_is_semi_saturation():
+    """A completed graph is the column boundary k = n, where the search
+    keeps it iff no vertex is below degree t and none owes an edge: that
+    must be min degree >= t and semi-saturation, on every atlas graph
+    with 3 <= n <= 7, saturated or not, for every p and t <= 4."""
+    import networkx
+
+    cases = accepted = 0
+    for h in networkx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n < 3:
+            continue
+        g = Graph(n, list(h.edges()))
+        adj = g.masks()
+        deg = [a.bit_count() for a in adj]
+        for p in range(3, n + 1):
+            semi = brute_is_semi_saturated(g, p)
+            for t in range(min(4, n - 1) + 1):
+                kept = min(deg) >= t and satgraph.search._owed(adj, deg, n, t, p) == 0
+                assert kept == (min(deg) >= t and semi), (networkx.to_graph6_bytes(h), p, t)
+                cases += 1
+                accepted += kept
+    assert (cases, accepted) == (29_830, 2_083)
+
+
 def test_saturation_debt_never_cuts_an_atlas_solution(atlas):
     assert _check_debt(atlas, range(3, 7)) == 51
 
@@ -517,12 +544,13 @@ def test_prefix_labelling_counts(monkeypatch):
     # the degree and root-partition stages, and each such prefix once per
     # search, as the memo keeps its verdict for the later edge levels
     # (525, 1,612 and 1,848 labellings when every level labels again;
-    # 1,385 and 7,176 without the two stages either); the node counts,
-    # 6,933 and 34,888 above, do not move
+    # 1,385 and 7,176 without the two stages either); a completed graph
+    # with no debt is labelled the same way, as the boundary k = n; the
+    # node counts, 6,933 and 34,888 above, do not move
     calls = _count_labellings(monkeypatch)
-    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 231),
-                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 682),
-                                  (exact_sat, SearchProblem(9, 3, 2), 723)]:
+    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 233),
+                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 686),
+                                  (exact_sat, SearchProblem(9, 3, 2), 726)]:
         calls.clear()
         solve(problem, threads=1)
         assert len(calls) == count, problem
@@ -530,12 +558,13 @@ def test_prefix_labelling_counts(monkeypatch):
 
 def test_clique_search_counts(monkeypatch):
     # the clique refusal and the debt rule answer p = 3 and p = 4 by mask
-    # tests; only p >= 5 runs the generic clique search
+    # tests; only p >= 5 runs the generic clique search, at the boundary
+    # k = n of a completed graph too
     calls = []
     find = satgraph.search.find_clique_in_mask
     monkeypatch.setattr(satgraph.search, "find_clique_in_mask",
                         lambda *args: calls.append(args) or find(*args))
-    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 24_820)]:
+    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 26_638)]:
         calls.clear()
         exact_sat(problem, threads=1)
         assert len(calls) == count, problem
@@ -607,7 +636,7 @@ def test_memo_lives_for_one_search(monkeypatch):
         counts.append(len(calls))
         assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
         assert len(memos[0][0]) > 0
-    assert counts == [231, 231]
+    assert counts == [233, 233]
     exact_sat(SearchProblem(8, 3, 2), threads=2)
     assert satgraph.search._worker_memo is None
 
