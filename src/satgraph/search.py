@@ -9,9 +9,10 @@ witness (the least canonical form) and the extremal list independent of
 visit order.
 
 Pruning is limited to rules that cannot lose solutions: remaining pair
-budget, total need against the remaining edge budget, per-vertex
-reachability of that need, the degree cap 2m - t(n-1), and (for the
-saturated modes) refusing any edge that would complete a p-clique.
+budget, three bounds of need against the remaining edge budget,
+per-vertex reachability of that need, the degree cap 2m - t(n-1), and
+(for the saturated modes) refusing any edge that would complete a
+p-clique.
 
 A vertex's need is the number of edges it must still gain: t - deg v,
 and at least 1 if v owes saturation debt.  A pair u, v is closed when
@@ -20,9 +21,12 @@ the clique refusal is the same test (`_closed`) on an edge to be taken.
 At a column boundary k (vertices 0..k-1 complete, no edge to k yet) a
 prefix pair not closed can be closed only by a later vertex, adjacent to
 both, so each end of degree >= t owes an edge to a later vertex (see
-`_owed`).  An edge pays at most two needs, so a node is cut when the
-total need exceeds 2(m - e).  Inside column k the debt is carried: the
-edge (j, k) pays j's, and j may not skip the last column while it owes.
+`_owed`).  In column k the need is carried as two sums: `held`, of the
+prefix 0..k-1, and `later`, of k..n-1, which owe nothing; at boundary k,
+k-1 moves from later to held before any cut.  With r = m - e edges left,
+a node is cut when held + later > 2r, when held > r, or when
+later - C(n-k, 2) > r.  Inside column k the debt is carried: the edge
+(j, k) pays j's, and j may not skip the last column while it owes.
 
 A completed graph is the boundary k = n, with no test of its own.  It
 has e = m, so its need must be 0: every vertex has degree >= t and every
@@ -41,21 +45,24 @@ each isomorphism class is kept.
 
 Soundness: every pruning rule is invariant under relabelling the prefix,
 and it survives deleting a vertex: each rule tests a quantity that moves
-one way along a path, so no rule cuts a node above a solution.  The debt
-rule is a necessary condition for a node to extend to a solution, since
-the need it counts is a lower bound on the edges each vertex still
-gains in any solution below; at a boundary it depends only on the
-prefix's isomorphism class, as owing is defined by degrees, adjacency
-and cliques alone, so it cuts all of a class or none of it.  A viable
-prefix (one that some solution extends) thus stays viable when
-relabelled, and so does its canonical parent, the prefix less its
-canonically last vertex: relabel the solution to put that vertex last.
-By induction on k, some prefix of each viable class is kept: the
-canonical parent's class has a kept representative P, and the child of
-P that adds the deleted vertex back is isomorphic to the prefix, with
-vertex k-1 in the orbit the test asks for.  The sibling set removes the
-children that are equivalent under P's automorphisms, which the orbit
-test lets through.
+one way along a path, so no rule cuts a node above a solution.  The need
+bounds are necessary conditions for a node to extend to a solution: need
+is a lower bound on the edges each vertex still gains in any solution
+below, and the r edges still to come pay it.  Each pays at most two
+needs; each joins at most one prefix vertex, as every open pair has an
+end k or later; and if y of them join two later vertices, y <= C(n-k, 2)
+and later <= (r - y) + 2y.  At a boundary each bound depends only on the
+prefix's degrees and owing set, so on its isomorphism class, as owing is
+defined by degrees, adjacency and cliques alone: it cuts all of a class
+or none of it.  A viable prefix (one that some solution extends) thus
+stays viable when relabelled, and so does its canonical parent, the
+prefix less its canonically last vertex: relabel the solution to put
+that vertex last.  By induction on k, some prefix of each viable class
+is kept: the canonical parent's class has a kept representative P, and
+the child of P that adds the deleted vertex back is isomorphic to the
+prefix, with vertex k-1 in the orbit the test asks for.  The sibling set
+removes the children that are equivalent under P's automorphisms, which
+the orbit test lets through.
 
 The orbit test runs in three stages, each on the prefixes the one before
 keeps: reject the prefix if some vertex has a higher degree than k-1,
@@ -71,7 +78,7 @@ ascending degree, so the last cell lies inside the class of maximum
 degree.
 
 The verdict of these three stages depends on the labelled prefix graph
-alone, not on m, the deficit, t, p or the mode, and iterative deepening
+alone, not on m, the need, t, p or the mode, and iterative deepening
 walks the same prefixes again at every level.  So each search keeps a
 memo from a prefix (its lower-triangle adjacency bits under a leading 1,
 which fixes k) to its canonical form if it passes the three stages, else
@@ -188,8 +195,8 @@ class SearchResult:
 class _Budget:
     """Nodes and time left to one process's share of a search.  `stop` is
     the pool's flag: once set, the worker's task ends as if out of time.
-    The clock and the flag are read at a budget's first node and every
-    8,192 nodes after, so a walk can pass its deadline by that many."""
+    A walk reads the clock and the flag at its first node and at every
+    8,192nd node of the budget, so it can pass its deadline by that many."""
 
     __slots__ = ("nodes", "limit", "deadline", "stop")
 
@@ -199,15 +206,6 @@ class _Budget:
         self.deadline = deadline
         self.stop = stop
 
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise BudgetExceededError("node budget exhausted")
-        if self.nodes & 8191 == 1 and (
-            time.monotonic() > self.deadline or self.stop is not None and self.stop.is_set()
-        ):
-            raise BudgetExceededError("time budget exhausted")
-
     def charge(self, nodes: int):
         """Add the nodes a worker's task spent."""
         self.nodes += nodes
@@ -215,7 +213,7 @@ class _Budget:
             raise BudgetExceededError("node budget exhausted")
 
 
-_VISIT, _TAKE, _UNDO = range(3)
+_VISIT, _TAKE, _UNDO, _RESUME = range(4)
 
 
 def _closed(adj: list[int], common: int, p: int) -> bool:
@@ -286,88 +284,116 @@ def _search(
     iso = problem.iso_reject
     pairs = [(j, k) for k in range(1, n) for j in range(k)]
     total = len(pairs)
+    # one row per pair index: the pair (j, k) and its two bits; whether it
+    # opens a column k >= 2; the pairs left from it on; the pairs among
+    # vertices k..n-1; the least degrees j and k need to skip it and still
+    # reach t; whether it is in the last column.  Index total is the
+    # boundary k = n of a completed graph.
+    rows = [(j, k, 1 << j, 1 << k, not j and k >= 2, total - idx, comb(n - k, 2),
+             t - (n - 1 - k), t - (n - 2 - j), k == n - 1)
+            for idx, (j, k) in enumerate(pairs)]
+    rows.append((0, n, 1, 1 << n, True, 0, 0, 0, 0, False))
     capd = min(n - 1, 2 * m - t * (n - 1))
     adj = [0] * n
     deg = [0] * n
     solutions: set[int] = set()
     frontier: list[tuple] = []
-    # a loop over an explicit stack of (op, pair index, edges, deficit,
+    # a loop over an explicit stack of (op, pair index, edges, held, later,
     # owed, parent), not recursion: CPython maps and unmaps a frame chunk
     # each time a deep recursion crosses a chunk boundary.  parent is the
     # last kept prefix: its memo key and its children's canonical forms.
     stack: list[tuple] = []
-
-    def expand(idx: int, e: int, deficit: int, owed: int, parent: tuple) -> None:
-        """Push the children of the node before pair idx: take it, then skip it."""
-        j, k = pairs[idx]
-        # skipping leaves j n-1-k pairs for its need, max(t - deg j, [j owed])
-        if max(t - deg[j], owed >> j & 1) <= n - 1 - k and deg[k] + (n - 2 - j) >= t:
-            stack.append((_VISIT, idx + 1, e, deficit, owed, parent))
-        if e < m and deg[j] < capd and deg[k] < capd and not (
-            free_mode and _closed(adj, adj[j] & adj[k], p)
-        ):
-            stack.append((_TAKE, idx, e, deficit, owed, parent))
-
+    push, pop = stack.append, stack.pop
     if state is None:
-        # the one-vertex prefix has no pair: its key is the sentinel alone
-        stack.append((_VISIT, 0, 0, t * n, 0, (1, set())))
+        # vertex 0 is held from the start; the one-vertex prefix has no
+        # pair, so its key is the sentinel alone
+        push((_VISIT, 0, 0, t, t * (n - 1), 0, (1, set())))
     else:
-        idx, e, deficit, owed, key, adj[:], deg[:] = state
-        expand(idx, e, deficit, owed, (key, set()))
-    while stack:
-        op, idx, e, deficit, owed, parent = stack.pop()
-        if op != _VISIT:
-            j, k = pairs[idx]
+        idx, e, held, later, owed, key, adj[:], deg[:] = state
+        # the walk that returned it counted and tested it: only expand it
+        push((_RESUME, idx, e, held, later, owed, (key, set())))
+    nodes, limit = budget.nodes, budget.limit
+    check = 0  # the next node that reads the clock
+    try:
+        while stack:
+            op, idx, e, held, later, owed, parent = pop()
+            j, k, bj, bk, opens, left, inner, jmin, kmin, last = rows[idx]
             if op == _UNDO:
                 deg[j] -= 1
                 deg[k] -= 1
-                adj[j] &= ~(1 << k)
-                adj[k] &= ~(1 << j)
+                adj[j] ^= bk
+                adj[k] ^= bj
                 continue
-            stack.append((_UNDO, idx, e, deficit, owed, parent))
-            # an edge to a later vertex pays j's debt
-            deficit -= (deg[j] < t or owed >> j & 1) + (deg[k] < t)
-            owed &= ~(1 << j)
-            adj[j] |= 1 << k
-            adj[k] |= 1 << j
-            deg[j] += 1
-            deg[k] += 1
-            idx += 1
-            e += 1
-        budget.tick()
-        if e + (total - idx) < m or deficit > 2 * (m - e):
-            continue
-        # a completed graph is the boundary k = n
-        j, k = pairs[idx] if idx < total else (0, n)
-        if not j and k >= 2:
-            # vertices 0..k-1 are complete and no edge reaches k yet;
-            # k-1 is the one just added
-            fresh = _owed(adj, deg, k, t, p)
-            deficit += fresh.bit_count() - owed.bit_count()
-            owed = fresh
-            if deficit > 2 * (m - e):
-                continue
-            # the parent's key, then the bits of k-1's row below the
-            # diagonal: all of adj[k-1] now
-            key = parent[0] << (k - 1) | adj[k - 1]
-            if iso and k >= 3:
-                packed = memo.get(key, _UNSEEN)
-                if packed is _UNSEEN:
-                    packed = _verdict(adj[:k])
-                    if len(memo) < _MEMO_CAP:
-                        memo[key] = packed
-                if packed is None or packed in parent[1]:
+            if op == _TAKE:
+                push((_UNDO, idx, e, held, later, owed, parent))
+                # an edge to a later vertex pays j's debt
+                held -= deg[j] < t or owed >> j & 1
+                later -= deg[k] < t
+                owed &= ~bj
+                adj[j] |= bk
+                adj[k] |= bj
+                deg[j] += 1
+                deg[k] += 1
+                idx += 1
+                e += 1
+                j, k, bj, bk, opens, left, inner, jmin, kmin, last = rows[idx]
+            if op != _RESUME:
+                nodes += 1
+                if nodes >= check:
+                    if nodes > limit:
+                        raise BudgetExceededError("node budget exhausted")
+                    if time.monotonic() > budget.deadline or (
+                        budget.stop is not None and budget.stop.is_set()
+                    ):
+                        raise BudgetExceededError("time budget exhausted")
+                    check = min(limit, nodes + (-nodes & 8191)) + 1
+                r = m - e
+                if opens:
+                    # vertices 0..k-1 are complete and no edge reaches k
+                    # yet; k-1, the one just added, is now held
+                    d = t - deg[k - 1]
+                    if d > 0:
+                        held += d
+                        later -= d
+                if left < r or held > r or later - inner > r or held + later > 2 * r:
                     continue
-                parent[1].add(packed)
-            if k == n:
-                if not exact_mode or min(deg) == t:
-                    solutions.add(packed if iso else canonical_masks(n, adj)[1])
-                continue
-            if k == stop:
-                frontier.append((idx, e, deficit, owed, key, tuple(adj), tuple(deg)))
-                continue
-            parent = (key, set())
-        expand(idx, e, deficit, owed, parent)
+                if opens:
+                    fresh = _owed(adj, deg, k, t, p)
+                    held += fresh.bit_count() - owed.bit_count()
+                    owed = fresh
+                    if held > r or held + later > 2 * r:
+                        continue
+                    # the parent's key, then the bits of k-1's row below
+                    # the diagonal: all of adj[k-1] now
+                    key = parent[0] << (k - 1) | adj[k - 1]
+                    if iso and k >= 3:
+                        packed = memo.get(key, _UNSEEN)
+                        if packed is _UNSEEN:
+                            packed = _verdict(adj[:k])
+                            if len(memo) < _MEMO_CAP:
+                                memo[key] = packed
+                        if packed is None or packed in parent[1]:
+                            continue
+                        parent[1].add(packed)
+                    if k == n:
+                        if not exact_mode or min(deg) == t:
+                            solutions.add(packed if iso else canonical_masks(n, adj)[1])
+                        continue
+                    if k == stop:
+                        frontier.append((idx, e, held, later, owed, key, tuple(adj), tuple(deg)))
+                        continue
+                    parent = (key, set())
+            # skip the pair, if j and k can still reach their needs (j may
+            # not skip the last column while it owes), then take it
+            if deg[j] >= jmin and deg[k] >= kmin and not (last and owed & bj):
+                push((_VISIT, idx + 1, e, held, later, owed, parent))
+            if e < m and deg[j] < capd and deg[k] < capd:
+                # the saturated modes take no edge that completes a p-clique
+                common = adj[j] & adj[k]
+                if not free_mode or not (common if p == 3 else _closed(adj, common, p)):
+                    push((_TAKE, idx, e, held, later, owed, parent))
+    finally:
+        budget.nodes = nodes
     return solutions, frontier
 
 

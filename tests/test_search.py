@@ -7,6 +7,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -86,6 +87,28 @@ def test_exact_sat_eight_vertices():
     assert r.status == "ok"
     assert r.value == 11 == 2 * 8 - 5
     assert r.witness_graph6 == "G??Nno"
+
+
+def _check_duffus_hanson(points):
+    """sat_2(n, K_3) = 2n - 5 and, for n >= 9 here, sat_3(n, K_3) = 3n - 15
+    (Duffus and Hanson, J. Graph Theory 10, 1986)."""
+    for n, t in points:
+        r = exact_sat(SearchProblem(n, 3, t, max_n=n), threads=1)
+        assert r.value == (2 * n - 5 if t == 2 else 3 * n - 15), (n, t)
+        assert r.witness.edge_count() == r.value
+        assert r.witness.min_degree() >= t and is_saturated(r.witness, 3), (n, t)
+
+
+def test_duffus_hanson_values():
+    _check_duffus_hanson([(9, 2), (10, 2), (10, 3), (11, 3)])
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATGRAPH_LONG_TESTS"),
+    reason="1.7M nodes at (12, 3, 2), about 8 s together; set SATGRAPH_LONG_TESTS=1",
+)
+def test_duffus_hanson_values_to_twelve_vertices():
+    _check_duffus_hanson([(11, 2), (12, 2), (12, 3)])
 
 
 def test_isomorphism_rejection_does_not_change_results():
@@ -228,7 +251,7 @@ def test_semi_ten_vertex_budgeted_run_never_reports_a_wrong_value():
 
 @pytest.mark.skipif(
     not os.environ.get("SATGRAPH_LONG_TESTS"),
-    reason="exhaustive 4.85M-node run, about 15 s on 2 workers; set SATGRAPH_LONG_TESTS=1",
+    reason="exhaustive 3.45M-node run, about 6 s on 2 workers; set SATGRAPH_LONG_TESTS=1",
 )
 def test_semi_ten_vertex_exact_value():
     problem = SearchProblem(
@@ -304,9 +327,10 @@ def _labellings(g) -> set[frozenset]:
 def _check_debt(atlas, sizes):
     """Walk every node the search passes on the way to every optimal atlas
     graph with n in `sizes`, in every labelling: before each pair
-    decision, the oracle's debt fits the edges left and each vertex's
-    need fits its pairs left, so the debt rule cuts none of them; at each
-    column boundary the search's `owed` mask is the oracle's."""
+    decision, the oracle's debt, its prefix part and its later part fit
+    the edges left, and each vertex's need fits its pairs left, so no need
+    rule cuts any of them; at each column boundary the search's `owed`
+    mask is the oracle's."""
     import networkx
 
     checks = {}
@@ -323,6 +347,10 @@ def _check_debt(atlas, sizes):
             for j, k in pairs:
                 need, owes = saturation_debt(n, p, t, decided, k)
                 assert sum(need) <= 2 * (m - len(decided)), (placed, j, k, p, t)
+                # each pair left has at most one end below k, and at most
+                # C(n - k, 2) of them join two vertices k..n-1
+                assert sum(need[:k]) <= m - len(decided), (placed, j, k, p, t)
+                assert sum(need[k:]) - comb(n - k, 2) <= m - len(decided), (placed, j, k, p, t)
                 assert all(a <= b for a, b in zip(need, left)), (placed, j, k, p, t)
                 if not j and k >= 2:
                     adj = [0] * n
@@ -509,14 +537,14 @@ def test_worker_count_does_not_change_results(monkeypatch):
     # saturation debt rule); with it on, a larger count means weaker
     # rejection, which loses no solution and so shows nowhere else.
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
-    cases = [(enumerate_extremal, SearchProblem(8, 3, 2), 6_933),
-             (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 45_115),
-             (exact_sat, SearchProblem(8, 3, 2), 6_933),
-             (exact_sat, SearchProblem(8, 3, 2, mode="sat-exact"), 6_933),
-             (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 16_502),
-             (exact_sat, SearchProblem(8, 4, 3), 26_484),
-             (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 26_484),
-             (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 34_888)]
+    cases = [(enumerate_extremal, SearchProblem(9, 3, 2), 21_998),
+             (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 31_741),
+             (exact_sat, SearchProblem(9, 3, 2), 21_998),
+             (exact_sat, SearchProblem(9, 3, 2, mode="sat-exact"), 21_998),
+             (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 13_422),
+             (exact_sat, SearchProblem(8, 4, 3), 24_184),
+             (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 24_184),
+             (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 31_114)]
     for solve, problem, nodes in cases:
         serial = solve(problem, threads=1)
         before = _CountingPool.submitted
@@ -543,14 +571,14 @@ def test_prefix_labelling_counts(monkeypatch):
     # canonical deletion labels only the prefixes whose new vertex passes
     # the degree and root-partition stages, and each such prefix once per
     # search, as the memo keeps its verdict for the later edge levels
-    # (525, 1,612 and 1,848 labellings when every level labels again;
-    # 1,385 and 7,176 without the two stages either); a completed graph
+    # (293, 967 and 865 labellings when every level labels again; 739,
+    # 3,879 and 2,341 without the two stages either); a completed graph
     # with no debt is labelled the same way, as the boundary k = n; the
-    # node counts, 6,933 and 34,888 above, do not move
+    # node counts, 31,114 and 21,998 above, do not move
     calls = _count_labellings(monkeypatch)
-    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 233),
-                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 686),
-                                  (exact_sat, SearchProblem(9, 3, 2), 726)]:
+    for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 150),
+                                  (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 410),
+                                  (exact_sat, SearchProblem(9, 3, 2), 414)]:
         calls.clear()
         solve(problem, threads=1)
         assert len(calls) == count, problem
@@ -564,7 +592,7 @@ def test_clique_search_counts(monkeypatch):
     find = satgraph.search.find_clique_in_mask
     monkeypatch.setattr(satgraph.search, "find_clique_in_mask",
                         lambda *args: calls.append(args) or find(*args))
-    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 26_638)]:
+    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 23_245)]:
         calls.clear()
         exact_sat(problem, threads=1)
         assert len(calls) == count, problem
@@ -636,7 +664,7 @@ def test_memo_lives_for_one_search(monkeypatch):
         counts.append(len(calls))
         assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
         assert len(memos[0][0]) > 0
-    assert counts == [233, 233]
+    assert counts == [150, 150]
     exact_sat(SearchProblem(8, 3, 2), threads=2)
     assert satgraph.search._worker_memo is None
 
@@ -668,11 +696,11 @@ def test_default_workers_are_the_usable_cpus(monkeypatch):
     # what the stand-in's initializer sets in this process
     monkeypatch.setattr(satgraph.search, "_worker_stop", None)
     monkeypatch.setattr(satgraph.search, "_worker_memo", None)
-    serial = _without_time(exact_sat(SearchProblem(8, 3, 2), threads=1))
+    serial = _without_time(exact_sat(SearchProblem(9, 3, 2), threads=1))
     for cpus, threads, sizes in [({0}, None, []), ({0, 1, 2}, None, [3]), ({0}, 2, [2])]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         _InProcessPool.sizes.clear()
-        assert _without_time(exact_sat(SearchProblem(8, 3, 2), threads=threads)) == serial
+        assert _without_time(exact_sat(SearchProblem(9, 3, 2), threads=threads)) == serial
         assert _InProcessPool.sizes == sizes, (cpus, threads)
 
 
@@ -682,18 +710,22 @@ def test_threads_must_be_positive():
             exact_sat(SearchProblem(5, 3, 2), threads=threads)
 
 
-def test_node_budget_stops_the_pool():
-    # the first level of (8, 4, 3) spends 1,654 nodes above its split and
-    # 1,419 below, at most 117 in one subtree: at 1,700 a subtree task
-    # runs out, at 2,500 none does but their sum does
-    for budget in (1_700, 2_500):
+def test_node_budget_stops_the_pool(monkeypatch):
+    # (8, 4, 3) spends 2,661 nodes on its first level, which is not split,
+    # then 1,702 on the second above its split and 3,856 below, at most 118
+    # in one subtree: at 4,400 a subtree task runs out, at 6,000 none does
+    # but their sum does
+    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    for budget in (4_400, 6_000):
         for threads in (1, 2):
+            before = _CountingPool.submitted
             r = exact_sat(SearchProblem(8, 4, 3, node_budget=budget), threads=threads)
             assert r.status == "resource-limit"
             assert r.nodes > budget
+            assert (_CountingPool.submitted > before) == (threads == 2)  # the pool was reached
             assert multiprocessing.active_children() == []
     assert main(["search", "--n", "8", "--p", "4", "--t", "3",
-                 "--node-budget", "2500", "--threads", "2"]) == 3
+                 "--node-budget", "6000", "--threads", "2"]) == 3
     assert multiprocessing.active_children() == []
 
 
@@ -708,13 +740,13 @@ def test_labelling_guard_in_a_worker_is_a_resource_limit(monkeypatch, capsys):
 
     monkeypatch.setattr(satgraph.canon, "_LABELING_GUARD", TripsInWorkers())
     assert exact_sat(SearchProblem(7, 3, 2), threads=1).value == 9
-    r = exact_sat(SearchProblem(8, 3, 2), threads=2)
+    r = exact_sat(SearchProblem(9, 3, 2), threads=2)
     assert r.status == "resource-limit"
     assert multiprocessing.active_children() == []
     # the CLI caps its workers at the usable CPUs: let it see two, so
     # that it starts the pool on a one-CPU machine too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert main(["search", "--n", "8", "--p", "3", "--t", "2", "--threads", "2"]) == 3
+    assert main(["search", "--n", "9", "--p", "3", "--t", "2", "--threads", "2"]) == 3
     assert '"value": "resource-limit"' in capsys.readouterr().out
     assert multiprocessing.active_children() == []
 
@@ -754,6 +786,6 @@ def test_serial_search_walks_each_level_once(monkeypatch):
     monkeypatch.setattr(satgraph.search, "_run_level",
                         lambda *args: levels.append(args[1]) or run_level(*args))
     r = exact_sat(SearchProblem(9, 3, 2), threads=1)
-    assert (r.value, r.nodes) == (13, 31_279)
+    assert (r.value, r.nodes) == (13, 21_998)
     assert levels == [9, 10, 11, 12, 13]
     assert walks == [None] * 5
