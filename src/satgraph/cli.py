@@ -17,13 +17,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constructions as cons
-from .closure import _need_t, certify as certify_run
+from .closure import certify as certify_run
 from .errors import (
     DomainError,
     FatalInconsistencyError,
     Graph6Error,
     ParseError,
     VerificationError,
+    _check_p,
+    _need,
 )
 from .graph6 import decode, encode
 from .hypergraphs import to_text
@@ -41,8 +43,6 @@ from .search import (
     exact_semi_sat,
 )
 from .verify import (
-    _check_degree,
-    _check_p,
     bollobas_bound,
     check_bounds,
     closure_tower_bound,
@@ -130,7 +130,7 @@ def _verify_line(job):
 def _cmd_verify(a) -> int:
     # what `check_bounds` refuses of each line, refused before the first,
     # so that an empty stream is refused too
-    _check_degree(a.t)
+    _need("t", a.t, 0)
     _check_p(a.p)
     jobs = [(line, a.p, a.t, a.semi) for line in _read_lines(a.input)]
     workers = _workers(a.threads, len(jobs))
@@ -158,7 +158,7 @@ def _parse_seed(spec: str, t: int) -> tuple[int, ...]:
 
 def _cmd_certify(a) -> int:
     # what `certify` refuses of each line, refused before the first
-    _need_t(a.t)
+    _need("t", a.t, 1)
     _check_p(a.p)
     seed = _parse_seed(a.r0, a.t)
     for line in _read_lines(a.input):

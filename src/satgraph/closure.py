@@ -30,10 +30,12 @@ from .errors import (
     IntegrityError,
     ParseError,
     VerificationError,
+    _check_p,
+    _need,
 )
 from .graph6 import decode, encode
 from .graphs import Graph, iter_bits, mask_of
-from .verify import _check_p, is_saturated
+from .verify import is_saturated
 
 __all__ = [
     "ClosureState",
@@ -60,11 +62,6 @@ def _seed_mask(g: Graph, seed: Iterable[int]) -> int:
     return mask_of(seed)
 
 
-def _need_t(t: int) -> None:
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
-
-
 def _closed(g: Graph, t: int, cur: int) -> int:
     """Mask of the closure of the seed mask `cur`."""
     adj, before = g.masks(), -1
@@ -79,7 +76,7 @@ def _closed(g: Graph, t: int, cur: int) -> int:
 def closure(g: Graph, t: int, seed: Iterable[int]) -> frozenset[int]:
     """Smallest superset of `seed` closed under "t neighbours inside pull
     you in": repeatedly absorb any vertex with >= t neighbours inside."""
-    _need_t(t)
+    _need("t", t, 1)
     return frozenset(iter_bits(_closed(g, t, _seed_mask(g, seed))))
 
 
@@ -111,7 +108,7 @@ def make_state(g: Graph, t: int, r: Iterable[int]) -> ClosureState:
     r_mask = _seed_mask(g, r)
     if not r_mask:
         raise DomainError("seed set must be non-empty")
-    _need_t(t)
+    _need("t", t, 1)
     return _state(g, t, r_mask)
 
 
@@ -249,7 +246,7 @@ def _tuples(x):
 def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Certificate:
     """Run the engine to completion on a K_p-saturated graph with minimum
     degree >= t and return the certificate for e(G) >= t(n - |R*|)."""
-    _need_t(t)
+    _need("t", t, 1)
     _check_p(p)
     if g.n == 0:
         raise DomainError("empty graph")

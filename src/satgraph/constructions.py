@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, _check_p
 from .graphs import Graph
 
 __all__ = [
@@ -33,8 +33,7 @@ def ehm_extremal(n: int, p: int) -> Graph:
     Vertices 0..p-3 form the clique; the rest are independent.  Edge count
     is n(p-2) - C(p-1,2).  Requires p >= 3 and n >= p-1.
     """
-    if p < 3:
-        raise DomainError(f"clique order must be >= 3, got {p}")
+    _check_p(p)
     if n < p - 1:
         raise DomainError(f"need n >= {p - 1} for p={p}, got {n}")
     q = p - 2
@@ -64,8 +63,7 @@ def clique_join_bipartite(n: int, p: int, t: int) -> Graph:
     count is tn - t^2 + t(p-3) - C(p-2,2).  Requires t >= p-2 >= 1 and
     n >= 2t - (p-3).
     """
-    if p < 3:
-        raise DomainError(f"clique order must be >= 3, got {p}")
+    _check_p(p)
     if t < p - 2:
         raise DomainError(f"need t >= p-2 = {p - 2}, got {t}")
     if n < 2 * t - (p - 3):
@@ -215,8 +213,7 @@ def semi_sat(n: int, p: int, t: int) -> Graph:
     Layout: clique 0..p-3, then the circulant layer.  Requires
     t >= p-2 >= 1 and n >= t+1.
     """
-    if p < 3:
-        raise DomainError(f"clique order must be >= 3, got {p}")
+    _check_p(p)
     if t < p - 2:
         raise DomainError(f"need t >= p-2 = {p - 2}, got {t}")
     if n < t + 1:

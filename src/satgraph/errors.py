@@ -1,5 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter checks.
+
+The paper defines sat_t(n, p) for a clique order p >= 3 and a degree
+t >= 0, and its r-graph analogue for a uniformity r >= 2 and p >= r + 1;
+the closure argument and the codegree construction need t >= 1.  Every
+entry point states these ranges with `_check_p` and `_need`, so each has
+one message.
+"""
 from __future__ import annotations
+
+from typing import Optional
 
 
 class DomainError(ValueError):
@@ -52,3 +61,21 @@ class FatalInconsistencyError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Internal signal: a search ran out of its node or time budget."""
+
+
+def _need(name: str, value: Optional[int], least: int) -> None:
+    """Refuse a degree t or uniformity r below `least`; None (no degree
+    given) passes."""
+    if value is not None and value < least:
+        raise DomainError(f"need {name} >= {least}, got {value}")
+
+
+def _check_p(p: int, t: Optional[int] = None, r: Optional[int] = None) -> None:
+    """Refuse a clique order below 3, or below r + 1 in an r-graph; then a
+    degree t below 0."""
+    least = 3 if r is None else r + 1
+    if p < least:
+        floor = least if r is None else f"r+1 = {least}"
+        raise DomainError(f"clique order must be >= {floor}, got {p}")
+    if t is not None and t < 0:  # `_need` only on failure: bounds call this per graph
+        _need("t", t, 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .errors import DomainError
+from .errors import DomainError, _check_p, _need
 from .hypergraphs import Hypergraph, contains_r_clique, creates_complete, link_masks
 
 __all__ = [
@@ -38,10 +38,8 @@ class CyclicPartition:
     n: int
 
     def __post_init__(self):
-        if self.r < 2:
-            raise DomainError(f"need r >= 2, got {self.r}")
-        if self.t < 1:
-            raise DomainError(f"need t >= 1, got {self.t}")
+        _need("r", self.r, 2)
+        _need("t", self.t, 1)
         if self.n - self.t * (self.r - 1) < 1:
             raise DomainError(
                 f"first class would be empty: n={self.n}, t={self.t}, r={self.r}"
@@ -99,10 +97,8 @@ def has_cyclic_excess(vertices: Iterable[int], part: CyclicPartition) -> bool:
 def sidorenko_base(r: int, t: int, n: int) -> tuple[Hypergraph, CyclicPartition]:
     """Base hypergraph: the r-sets with no cyclic excess.  Contains no
     complete (r+1)-set, and every (r-1)-set lies in at least t edges."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
+    _need("r", r, 2)
+    _need("t", t, 1)
     if n < r * t:
         raise DomainError(f"need n >= rt = {r * t}, got {n}")
     part = CyclicPartition(r, t, n)
@@ -133,8 +129,7 @@ def greedy_complete(h: Hypergraph, p: int) -> Hypergraph:
     would complete a p-set.  One pass saturates: a skipped set's blockers
     are only ever added to.  The link masks are kept in step with the
     edge set, r entries per added edge."""
-    if p < h.r + 1:
-        raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
+    _check_p(p, r=h.r)
     if contains_r_clique(h, p):
         raise DomainError("input already contains a complete p-set")
     eset = set(h._eset)
@@ -152,8 +147,7 @@ def saturated_hypergraph(r: int, p: int, t: int, n: int) -> Hypergraph:
     lies in at least t edges: a greedy-completed base on n-p+r+1 vertices
     with codegree parameter t-p+r+1, joined with p-r-1 universal vertices
     at the top indices."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    _need("r", r, 2)
     if not 1 <= p - r <= t:
         raise DomainError(f"need 1 <= p - r <= t, got p - r = {p - r}, t = {t}")
     q = p - r - 1
@@ -172,8 +166,7 @@ def bollobas_extremal(n: int, r: int, p: int) -> Hypergraph:
     """The classical minimum: all r-sets meeting the fixed vertex set
     [0, p-r).  K_p^r-saturated with C(n,r) - C(n-p+r, r) edges and every
     (r-1)-set in at least p-r edges."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    _need("r", r, 2)
     if not r < p <= n:
         raise DomainError(f"need r < p <= n, got r={r}, p={p}, n={n}")
     s = p - r

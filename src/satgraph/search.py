@@ -107,7 +107,7 @@ from math import comb, isfinite
 from typing import Iterator, Optional
 
 from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
-from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError
+from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError, _check_p
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
 from .verify import ehm_bound, is_saturated, is_semi_saturated
@@ -143,10 +143,7 @@ class SearchProblem:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
-        if self.p < 3:
-            raise DomainError(f"need p >= 3, got {self.p}")
-        if self.t < 0:
-            raise DomainError(f"need t >= 0, got {self.t}")
+        _check_p(self.p, self.t)
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.node_budget <= 0:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .errors import DomainError, FatalInconsistencyError
+from .errors import DomainError, FatalInconsistencyError, _check_p, _need
 from .graph6 import encode
 from .graphs import Graph, find_clique
 from .hypergraphs import Hypergraph, creates_complete, find_r_clique, to_text
@@ -48,19 +48,6 @@ __all__ = [
 
 
 # -- saturation checkers ---------------------------------------------------
-
-def _check_p(p: int, t: int = 0) -> None:
-    if p < 3:
-        raise DomainError(f"clique order must be >= 3, got {p}")
-    if t < 0:
-        raise DomainError(f"need a degree >= 0, got {t}")
-
-
-def _check_degree(t: Optional[int]) -> None:
-    """The degree `check_bounds` takes: none, or t >= 0."""
-    if t is not None and t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
-
 
 def is_kp_free(g: Graph, p: int) -> bool:
     _check_p(p)
@@ -138,8 +125,7 @@ def has_conical_vertex(g: Graph) -> bool:
 def non_saturating_r_set(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
     """Lexicographically least absent r-set whose addition creates no
     complete p-set."""
-    if p < h.r + 1:
-        raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
+    _check_p(p, r=h.r)
     links = h.links()
     for cand in h.non_edges():
         if not creates_complete(h.r, h._eset, links, cand, p):
@@ -199,19 +185,18 @@ semi_sat_lower_bound = dh_mixed_bound
 
 
 def semi_sat_upper_bound(n: int, p: int, t: int) -> int:
-    """ceil((t+p-2)(n-(p-2))/2) + C(p-2,2): edges of the clique-join
-    construction, an upper bound on the same minimum."""
+    """ceil((s+p-2)(n-(p-2))/2) + C(p-2,2), evaluated at s = max(t, p-2):
+    edges of `semi_sat(n, p, s)`, whose minimum degree s >= t, so an upper
+    bound on the same minimum (at s = p-2 it is `ehm_bound(n, p)`)."""
     _check_p(p, t)
-    tq = t + p - 2
+    tq = max(t, p - 2) + p - 2
     return -((-tq * (n - (p - 2))) // 2) + comb(p - 2, 2)
 
 
 def bollobas_bound(n: int, r: int, p: int) -> int:
     """C(n,r) - C(n-p+r,r): minimum edges of a K_p^r-saturated r-graph."""
-    if r < 2:
-        raise DomainError(f"uniformity must be >= 2, got {r}")
-    if p < r + 1:
-        raise DomainError(f"clique order must be >= r+1 = {r + 1}, got {p}")
+    _need("r", r, 2)
+    _check_p(p, r=r)
     return comb(n, r) - comb(max(n - p + r, 0), r)
 
 
@@ -262,7 +247,7 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
     A violated proven lower bound on a subject whose saturation was just
     verified is impossible; if observed it raises FatalInconsistencyError.
     """
-    _check_degree(t)
+    _need("t", t, 0)
     if isinstance(subject, Hypergraph):
         return _check_hypergraph(subject, p, t)
     return _check_graph(subject, p, t)
@@ -307,8 +292,7 @@ def _check_graph(g: Graph, p: int, t: Optional[int]) -> VerifyReport:
 
 
 def _check_hypergraph(h: Hypergraph, p: int, t: Optional[int]) -> VerifyReport:
-    if p < h.r + 1:
-        raise DomainError(f"clique order must be >= r+1 = {h.r + 1}, got {p}")
+    _check_p(p, r=h.r)
     e = h.edge_count()
     delta = h.min_codegree(h.r - 1) if h.n >= h.r - 1 >= 1 else 0
     clique = find_r_clique(h, p)

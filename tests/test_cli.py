@@ -14,6 +14,7 @@ from itertools import combinations
 from pathlib import Path
 
 import satgraph.canon
+import satgraph.search
 from satgraph import cli
 from satgraph.cli import main
 from satgraph.constructions import duffus_hanson_t2
@@ -635,12 +636,20 @@ def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
         assert asked.pop() == size
 
 
-def test_search_threads_flag_keeps_the_json():
-    argv = ["search", "--n", "8", "--p", "3", "--t", "2"]
+def test_search_threads_flag_keeps_the_json(monkeypatch):
+    # two usable CPUs, so that `--threads 2` starts a pool on one CPU too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    tasks = []
+    pool_map = satgraph.search._Pool.map
+    monkeypatch.setattr(satgraph.search._Pool, "map",
+                        lambda pool, calls: tasks.append(len(calls)) or pool_map(pool, calls))
+    argv = ["search", "--n", "9", "--p", "3", "--t", "2"]
     outs = []
     for threads in ("1", "2"):
+        tasks.clear()
         code, out, err = run(argv + ["--threads", threads])
         assert (code, err) == (0, "")
         outs.append({k: v for k, v in json.loads(out).items() if k != "wall_ms"})
+    assert sum(tasks) > 0  # the 2-thread run shared its levels
     assert outs[0] == outs[1]
-    assert outs[0]["value"] == 11 and outs[0]["witness_graph6"] == "G??Nno"
+    assert outs[0]["value"] == 13 and outs[0]["witness_graph6"] == "H???Nv{"

@@ -25,7 +25,12 @@ from satgraph.search import (
     exact_sat,
     exact_semi_sat,
 )
-from satgraph.verify import is_saturated, is_semi_saturated
+from satgraph.verify import (
+    is_saturated,
+    is_semi_saturated,
+    semi_sat_lower_bound,
+    semi_sat_upper_bound,
+)
 
 from oracles import (
     atlas_saturation_optima,
@@ -315,6 +320,19 @@ def test_atlas_oracle_values_and_extremal_lists(atlas):
 )
 def test_atlas_oracle_slow_rows(atlas):
     _check_atlas_rows(_atlas_rows(atlas, slow=True))
+
+
+def test_semi_sat_bounds_bracket_the_atlas_optima(atlas):
+    """The semi-saturation bounds hold at every feasible atlas point: the
+    upper one also where t < p - 2, which `semi_sat` refuses, and the
+    lower one where its proof covers the point, n >= 4t."""
+    points = [(n, p, t, value) for (n, p, t, mode), (value, _) in sorted(atlas.items())
+              if mode == "semi" and value is not None]
+    assert len(points) == 85
+    for n, p, t, value in points:
+        assert semi_sat_upper_bound(n, p, t) >= value, (n, p, t)
+        if n >= 4 * t:
+            assert semi_sat_lower_bound(n, p, t) <= value, (n, p, t)
 
 
 def _labellings(g) -> set[frozenset]:
@@ -665,7 +683,11 @@ def test_memo_lives_for_one_search(monkeypatch):
         assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
         assert len(memos[0][0]) > 0
     assert counts == [150, 150]
-    exact_sat(SearchProblem(8, 3, 2), threads=2)
+    # (8, 3, 2) is too small to split; (9, 3, 2) shares its levels
+    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    before = _CountingPool.submitted
+    assert exact_sat(SearchProblem(9, 3, 2), threads=2).value == 13
+    assert _CountingPool.submitted > before
     assert satgraph.search._worker_memo is None
 
 

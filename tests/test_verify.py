@@ -201,8 +201,9 @@ def test_negative_degree_is_a_domain_error():
                  lambda: check_bounds(bollobas_extremal(8, 3, 5), 5, -1)):
         with pytest.raises(DomainError):
             call()
-    # t = 0 is a degree like any other
-    assert dh_semi_bound(5, 0, 3) == 2 and semi_sat_upper_bound(5, 3, 0) == 2
+    # t = 0 is a degree like any other; below p - 2 the upper bound counts
+    # semi_sat at p - 2, the minimum K_p-saturated graph
+    assert dh_semi_bound(5, 0, 3) == 2 and semi_sat_upper_bound(5, 3, 0) == 4 == ehm_bound(5, 3)
     assert check_bounds(cycle(5), 3, 0).t == 0
 
 
