@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError, _check_p
+from .errors import DomainError, _check_p, _need
 from .graphs import Graph
 
 __all__ = [
@@ -48,8 +48,7 @@ def complete_bipartite(t: int, n: int) -> Graph:
     Triangle-saturated with minimum degree t; shows the smallest such graph
     has at most tn - t^2 edges.  Requires 1 <= t and n >= 2t.
     """
-    if t < 1:
-        raise DomainError(f"side size must be >= 1, got {t}")
+    _need("t", t, 1)
     if n < 2 * t:
         raise DomainError(f"need n >= 2t = {2 * t}, got {n}")
     edges = [(u, v) for u in range(t) for v in range(t, n)]

@@ -167,8 +167,9 @@ def bollobas_extremal(n: int, r: int, p: int) -> Hypergraph:
     [0, p-r).  K_p^r-saturated with C(n,r) - C(n-p+r, r) edges and every
     (r-1)-set in at least p-r edges."""
     _need("r", r, 2)
-    if not r < p <= n:
-        raise DomainError(f"need r < p <= n, got r={r}, p={p}, n={n}")
+    _check_p(p, r=r)
+    if p > n:
+        raise DomainError(f"need p <= n, got p = {p}, n = {n}")
     s = p - r
     edges = [e for e in combinations(range(n), r) if e[0] < s]
     return Hypergraph(r, n, edges)

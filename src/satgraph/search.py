@@ -89,22 +89,21 @@ memo stops growing at `_MEMO_CAP` entries (a few MB) and is dropped when
 the search returns; each worker process keeps one for all its tasks,
 started from the search's when the worker is forked, empty otherwise.
 
-No state that decides anything is shared between subtrees, so a level
-is split only when a worker pool shares it: its kept prefixes are grown
-one vertex at a time until there are enough subtrees, one task each.
-Otherwise the level is finished in process, on the search's own budget.
-The canonical solution sets merge by union, and the node count is the
-size of one fixed tree, whatever the worker count.
+Each level is walked in process.  With a worker pool, a walk past its
+node quota hands the rest of its stack to the pool as continuations, a
+task per group (see `_search`), and a task hands back the same way.  The
+solution sets merge by union, and the node count is the size of one
+fixed tree, whatever the worker count.
 """
 from __future__ import annotations
 
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Iterator, Optional
+from typing import Optional
 
 from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError, _check_p
@@ -210,7 +209,7 @@ class _Budget:
             raise BudgetExceededError("node budget exhausted")
 
 
-_VISIT, _TAKE, _UNDO, _RESUME = range(4)
+_VISIT, _TAKE, _UNDO, _SET = range(4)
 
 
 def _closed(adj: list[int], common: int, p: int) -> bool:
@@ -268,13 +267,18 @@ def _verdict(prefix: list[int]) -> Optional[int]:
 
 
 def _search(
-    problem: SearchProblem, m: int, state, stop: Optional[int], budget: _Budget, memo: dict
+    problem: SearchProblem, m: int, group: Optional[list], quota: Optional[int],
+    budget: _Budget, memo: dict,
 ):
-    """Walk one level-m subtree: from the root when `state` is None, else
-    from a prefix that an earlier walk returned.  Returns (solutions, frontier):
-    the canonical forms of the solutions found, and the accepted prefixes
-    of `stop` vertices, where the walk halts (never, when `stop` is None).
-    `memo` holds canonical-deletion verdicts by prefix (see `_verdict`)."""
+    """Walk level m: from the root when `group` is None, else a group an
+    earlier walk handed back.  Returns (solutions, groups): the canonical
+    forms of the solutions found, and, once the walk passes `quota` nodes
+    (if not None), the rest of its stack as groups, one per parent, in
+    stack order, with a `_SET` entry above each entry to restore its `adj`
+    and `deg`.  Only a parent's own entries touch its sibling set, so the
+    groups may be walked apart and in any order, with the nodes, kept
+    prefixes and solutions of the uninterrupted walk.  `memo` holds
+    canonical-deletion verdicts by prefix (see `_verdict`)."""
     n, p, t = problem.n, problem.p, problem.t
     free_mode = problem.mode != "semi"
     exact_mode = problem.mode == "sat-exact"
@@ -294,22 +298,20 @@ def _search(
     adj = [0] * n
     deg = [0] * n
     solutions: set[int] = set()
-    frontier: list[tuple] = []
     # a loop over an explicit stack of (op, pair index, edges, held, later,
     # owed, parent), not recursion: CPython maps and unmaps a frame chunk
     # each time a deep recursion crosses a chunk boundary.  parent is the
     # last kept prefix: its memo key and its children's canonical forms.
     stack: list[tuple] = []
     push, pop = stack.append, stack.pop
-    if state is None:
+    if group is None:
         # vertex 0 is held from the start; the one-vertex prefix has no
         # pair, so its key is the sentinel alone
         push((_VISIT, 0, 0, t, t * (n - 1), 0, (1, set())))
     else:
-        idx, e, held, later, owed, key, adj[:], deg[:] = state
-        # the walk that returned it counted and tested it: only expand it
-        push((_RESUME, idx, e, held, later, owed, (key, set())))
+        stack += group
     nodes, limit = budget.nodes, budget.limit
+    end = limit if quota is None else min(limit, nodes + quota)
     check = 0  # the next node that reads the clock
     try:
         while stack:
@@ -321,6 +323,22 @@ def _search(
                 adj[j] ^= bk
                 adj[k] ^= bj
                 continue
+            if op == _SET:
+                adj[:], deg[:] = parent  # the arrays of the entry below
+                continue
+            nodes += 1
+            if nodes >= check:
+                if nodes > limit:
+                    raise BudgetExceededError("node budget exhausted")
+                if nodes > end:  # hand back, with this node unwalked
+                    nodes -= 1
+                    push((op, idx, e, held, later, owed, parent))
+                    break
+                if time.monotonic() > budget.deadline or (
+                    budget.stop is not None and budget.stop.is_set()
+                ):
+                    raise BudgetExceededError("time budget exhausted")
+                check = min(end, nodes + (-nodes & 8191)) + 1
             if op == _TAKE:
                 push((_UNDO, idx, e, held, later, owed, parent))
                 # an edge to a later vertex pays j's debt
@@ -334,52 +352,39 @@ def _search(
                 idx += 1
                 e += 1
                 j, k, bj, bk, opens, left, inner, jmin, kmin, last = rows[idx]
-            if op != _RESUME:
-                nodes += 1
-                if nodes >= check:
-                    if nodes > limit:
-                        raise BudgetExceededError("node budget exhausted")
-                    if time.monotonic() > budget.deadline or (
-                        budget.stop is not None and budget.stop.is_set()
-                    ):
-                        raise BudgetExceededError("time budget exhausted")
-                    check = min(limit, nodes + (-nodes & 8191)) + 1
-                r = m - e
-                if opens:
-                    # vertices 0..k-1 are complete and no edge reaches k
-                    # yet; k-1, the one just added, is now held
-                    d = t - deg[k - 1]
-                    if d > 0:
-                        held += d
-                        later -= d
-                if left < r or held > r or later - inner > r or held + later > 2 * r:
+            r = m - e
+            if opens:
+                # vertices 0..k-1 are complete and no edge reaches k
+                # yet; k-1, the one just added, is now held
+                d = t - deg[k - 1]
+                if d > 0:
+                    held += d
+                    later -= d
+            if left < r or held > r or later - inner > r or held + later > 2 * r:
+                continue
+            if opens:
+                fresh = _owed(adj, deg, k, t, p)
+                held += fresh.bit_count() - owed.bit_count()
+                owed = fresh
+                if held > r or held + later > 2 * r:
                     continue
-                if opens:
-                    fresh = _owed(adj, deg, k, t, p)
-                    held += fresh.bit_count() - owed.bit_count()
-                    owed = fresh
-                    if held > r or held + later > 2 * r:
+                # the parent's key, then the bits of k-1's row below
+                # the diagonal: all of adj[k-1] now
+                key = parent[0] << (k - 1) | adj[k - 1]
+                if iso and k >= 3:
+                    packed = memo.get(key, _UNSEEN)
+                    if packed is _UNSEEN:
+                        packed = _verdict(adj[:k])
+                        if len(memo) < _MEMO_CAP:
+                            memo[key] = packed
+                    if packed is None or packed in parent[1]:
                         continue
-                    # the parent's key, then the bits of k-1's row below
-                    # the diagonal: all of adj[k-1] now
-                    key = parent[0] << (k - 1) | adj[k - 1]
-                    if iso and k >= 3:
-                        packed = memo.get(key, _UNSEEN)
-                        if packed is _UNSEEN:
-                            packed = _verdict(adj[:k])
-                            if len(memo) < _MEMO_CAP:
-                                memo[key] = packed
-                        if packed is None or packed in parent[1]:
-                            continue
-                        parent[1].add(packed)
-                    if k == n:
-                        if not exact_mode or min(deg) == t:
-                            solutions.add(packed if iso else canonical_masks(n, adj)[1])
-                        continue
-                    if k == stop:
-                        frontier.append((idx, e, held, later, owed, key, tuple(adj), tuple(deg)))
-                        continue
-                    parent = (key, set())
+                    parent[1].add(packed)
+                if k == n:
+                    if not exact_mode or min(deg) == t:
+                        solutions.add(packed if iso else canonical_masks(n, adj)[1])
+                    continue
+                parent = (key, set())
             # skip the pair, if j and k can still reach their needs (j may
             # not skip the last column while it owes), then take it
             if deg[j] >= jmin and deg[k] >= kmin and not (last and owed & bj):
@@ -391,16 +396,30 @@ def _search(
                     push((_TAKE, idx, e, held, later, owed, parent))
     finally:
         budget.nodes = nodes
-    return solutions, frontier
+    groups: dict = {}
+    for entry in reversed(stack):  # top down, so undo what lies above each entry
+        op, idx, parent = entry[0], entry[1], entry[6]
+        if op == _SET:
+            adj[:], deg[:] = parent
+        elif op == _UNDO:
+            j, k, bj, bk = rows[idx][:4]
+            adj[j] ^= bk
+            adj[k] ^= bj
+            deg[j] -= 1
+            deg[k] -= 1
+        else:
+            groups.setdefault(id(parent), []).extend(
+                ((_SET, 0, 0, 0, 0, 0, (tuple(adj), tuple(deg))), entry))
+    return solutions, [group[::-1] for group in groups.values()]
 
 
-# Subtrees a level is split into before they are shared out: enough that
-# the largest is a small part of the level (their sizes vary a hundredfold),
-# few enough that the parent's share of the tree, above the split, stays
-# small.  Levels grow with m, so a level is split further, into one subtree
-# per _NODES_PER_SUBTREE nodes of the level before, when that is more.
-_SUBTREES = 32
-_NODES_PER_SUBTREE = 100_000
+# Nodes a walk takes before it hands back its stack.  In process, a level
+# under _QUOTA costs less than in workers, which lack the memo's later
+# verdicts; with the memo empty, _FIRST_QUOTA only spares a small first
+# level a fork.  In a task, few, so that an idle worker soon has work.
+_QUOTA = 1 << 16
+_FIRST_QUOTA = 2048
+_WORKER_QUOTA = 4096
 
 # Set in each worker process by the pool's initializer: the pool's stop
 # flag, and the memo the worker keeps for all its tasks.
@@ -413,24 +432,23 @@ def _init_worker(stop, memo: dict) -> None:
     _worker_stop, _worker_memo = stop, memo
 
 
-def _subtree(problem: SearchProblem, m: int, state, nodes_left: int, deadline: float):
-    """One worker task: (solutions, nodes) of the subtree below `state`,
-    with the worker's memo; the solutions are None when the task ran out
-    of nodes or time."""
+def _task(problem: SearchProblem, m: int, group: list, nodes_left: int, deadline: float):
+    """One worker task: (solutions, nodes, groups) of a walk of `group`,
+    handing back at `_WORKER_QUOTA` nodes; the solutions are None when the
+    task ran out of nodes or time."""
     budget = _Budget(nodes_left, deadline, _worker_stop)
     try:
-        solutions, _ = _search(problem, m, state, None, budget, _worker_memo)
+        solutions, groups = _search(problem, m, group, _WORKER_QUOTA, budget, _worker_memo)
     except BudgetExceededError:
-        return None, budget.nodes
-    return solutions, budget.nodes
+        return None, budget.nodes, []
+    return solutions, budget.nodes, groups
 
 
 class _Pool:
-    """The worker processes of one search, started when a level first has
-    subtrees to share (no more of them than it has subtrees).  Forked
-    workers start from the contents of the search's memo at that time;
-    spawned ones start empty, rather than be sent a copy.  `close` stops
-    their tasks and joins them."""
+    """The `size` worker processes of one search, started at a level's
+    first handback.  Forked workers start from the contents of the
+    search's memo at that time; spawned ones start empty, rather than be
+    sent a copy.  `close` stops their tasks and joins them."""
 
     def __init__(self, size: int, memo: dict):
         self.size = size
@@ -438,22 +456,20 @@ class _Pool:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._stop = None
 
-    def map(self, calls: list[tuple]) -> Iterator:
-        """`_subtree(*call)` for every call, in order of completion."""
+    def submit(self, problem: SearchProblem, m: int, group: list, budget: _Budget) -> Future:
+        """`_task` on one group, with the nodes and time left to `budget`."""
         if self._executor is None:
             # the platform's default start method: forking a worker costs
-            # about 10 ms, where spawning one that imports the package costs
-            # about 300 ms, a third of a whole single-level search
+            # about 10 ms, spawning one that imports the package about 300 ms
             context = multiprocessing.get_context()
             self._stop = context.Event()
             memo = self.memo if context.get_start_method() == "fork" else {}
             self._executor = ProcessPoolExecutor(
-                min(self.size, len(calls)), mp_context=context,
+                self.size, mp_context=context,
                 initializer=_init_worker, initargs=(self._stop, memo),
             )
-        futures = [self._executor.submit(_subtree, *call) for call in calls]
-        for future in as_completed(futures):
-            yield future.result()
+        return self._executor.submit(
+            _task, problem, m, group, budget.limit - budget.nodes, budget.deadline)
 
     def close(self) -> None:
         if self._executor is not None:
@@ -462,31 +478,24 @@ class _Pool:
 
 
 def _run_level(
-    problem: SearchProblem, m: int, budget: _Budget, pool: Optional[_Pool], subtrees: int,
-    memo: dict,
+    problem: SearchProblem, m: int, budget: _Budget, pool: Optional[_Pool], memo: dict
 ) -> set[int]:
     """The canonical forms of every level-m solution (empty iff level m is
-    infeasible).  With a pool, the prefixes are expanded one vertex at a
-    time until there are `subtrees` of them, and those go to the pool;
-    what the pool does not take is walked in process on `budget`."""
-    frontier: list = [None]
-    stop = 3
-    while pool is not None and len(frontier) < subtrees and stop < problem.n:
-        grown = []
-        for state in frontier:
-            grown += _search(problem, m, state, stop, budget, memo)[1]  # no leaf lies above stop
-        frontier, stop = grown, stop + 1
-    solutions: set[int] = set()
-    if pool is not None and len(frontier) >= subtrees:
-        left = budget.limit - budget.nodes
-        for found, nodes in pool.map([(problem, m, s, left, budget.deadline) for s in frontier]):
+    infeasible).  The level is walked in process on `budget`; with a pool,
+    past its quota the walk hands back its stack, a task per group, and so
+    does each task, until no group is left."""
+    quota = None if pool is None else _QUOTA if memo else _FIRST_QUOTA
+    solutions, groups = _search(problem, m, None, quota, budget, memo)
+    tasks = {pool.submit(problem, m, group, budget) for group in groups}
+    while tasks:
+        done, tasks = wait(tasks, return_when=FIRST_COMPLETED)
+        for future in done:
+            found, nodes, groups = future.result()
             budget.charge(nodes)
             if found is None:
-                raise BudgetExceededError("a subtree ran out of its budget")
+                raise BudgetExceededError("a task ran out of its budget")
             solutions |= found
-    else:
-        for state in frontier:
-            solutions |= _search(problem, m, state, None, budget, memo)[0]
+            tasks |= {pool.submit(problem, m, group, budget) for group in groups}
     return solutions
 
 
@@ -540,13 +549,9 @@ def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> Sea
     value = None
     memo: dict = {}  # prefix key -> verdict, for this search only
     pool = _Pool(threads, memo) if threads > 1 else None
-    spent = 0  # nodes of the level before
     try:
         for m in range(m_lo, cap + 1):
-            before = budget.nodes
-            subtrees = max(_SUBTREES, spent // _NODES_PER_SUBTREE)
-            solutions = _run_level(problem, m, budget, pool, subtrees, memo)
-            spent = budget.nodes - before
+            solutions = _run_level(problem, m, budget, pool, memo)
             if solutions:
                 value = m
                 break

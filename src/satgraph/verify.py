@@ -135,6 +135,7 @@ def non_saturating_r_set(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
 
 def is_r_saturated(h: Hypergraph, p: int) -> bool:
     """True iff h has no complete p-set and every added r-set creates one."""
+    _check_p(p, r=h.r)
     return find_r_clique(h, p) is None and non_saturating_r_set(h, p) is None
 
 

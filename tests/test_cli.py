@@ -637,12 +637,16 @@ def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
 
 
 def test_search_threads_flag_keeps_the_json(monkeypatch):
-    # two usable CPUs, so that `--threads 2` starts a pool on one CPU too
+    # two usable CPUs, so that `--threads 2` starts a pool on one CPU too,
+    # and quotas small enough that (9, 3, 2) hands its levels to it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(satgraph.search, "_QUOTA", 1_000)
+    monkeypatch.setattr(satgraph.search, "_FIRST_QUOTA", 1_000)
+    monkeypatch.setattr(satgraph.search, "_WORKER_QUOTA", 500)
     tasks = []
-    pool_map = satgraph.search._Pool.map
-    monkeypatch.setattr(satgraph.search._Pool, "map",
-                        lambda pool, calls: tasks.append(len(calls)) or pool_map(pool, calls))
+    pool_submit = satgraph.search._Pool.submit
+    monkeypatch.setattr(satgraph.search._Pool, "submit",
+                        lambda pool, *call: tasks.append(1) or pool_submit(pool, *call))
     argv = ["search", "--n", "9", "--p", "3", "--t", "2"]
     outs = []
     for threads in ("1", "2"):

@@ -10,7 +10,12 @@ import pytest
 
 from satgraph.cli import main
 from satgraph.closure import certify, closure, make_state
-from satgraph.constructions import clique_join_bipartite, ehm_extremal, semi_sat
+from satgraph.constructions import (
+    clique_join_bipartite,
+    complete_bipartite,
+    ehm_extremal,
+    semi_sat,
+)
 from satgraph.errors import DomainError
 from satgraph.graphs import Graph
 from satgraph.hypersat import (
@@ -29,6 +34,7 @@ from satgraph.verify import (
     dh_semi_bound,
     ehm_bound,
     is_kp_free,
+    is_r_saturated,
     is_saturated,
     is_semi_saturated,
     non_saturating_pair,
@@ -66,6 +72,7 @@ CASES = [
     (ehm_extremal, (5, 2), P2),
     (clique_join_bipartite, (5, 2, 1), P2),
     (semi_sat, (5, 2, 1), P2),
+    (complete_bipartite, (0, 4), T1),
     # hypergraph builders
     (CyclicPartition, (1, 1, 3), R1),
     (CyclicPartition, (2, 0, 3), T1),
@@ -74,12 +81,14 @@ CASES = [
     (greedy_complete, (H3, 3), R3P3),
     (saturated_hypergraph, (1, 3, 2, 5), R1),
     (bollobas_extremal, (5, 1, 3), R1),
+    (bollobas_extremal, (5, 3, 3), R3P3),
     # saturation checkers
     (is_kp_free, (C5, 2), P2),
     (non_saturating_pair, (C5, 2), P2),
     (is_saturated, (C5, 2), P2),
     (is_semi_saturated, (C5, 2), P2),
     (non_saturating_r_set, (H3, 3), R3P3),
+    (is_r_saturated, (H3, 3), R3P3),
     # the closure engine
     (closure, (C5, 0, [0]), T1),
     (make_state, (C5, 0, [0]), T1),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -549,21 +550,33 @@ def _without_time(result):
     return out
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    # `nodes` is the size of one fixed tree.  With isomorph rejection off it
-    # is the labelled tree the pruning rules leave (142,637 before the
-    # saturation debt rule); with it on, a larger count means weaker
-    # rejection, which loses no solution and so shows nowhere else.
+def _small_quotas(monkeypatch, quota=1_000, worker_quota=500):
+    """Let a small search reach the pool: every level is handed to it past
+    `quota` nodes, and a task hands back the rest of its walk past
+    `worker_quota` (by default 2,048 nodes on the first level, 65,536 on
+    later ones, and 4,096 in a task)."""
+    monkeypatch.setattr(satgraph.search, "_QUOTA", quota)
+    monkeypatch.setattr(satgraph.search, "_FIRST_QUOTA", quota)
+    monkeypatch.setattr(satgraph.search, "_WORKER_QUOTA", worker_quota)
+
+
+# `nodes` is the size of one fixed tree.  With isomorph rejection off it
+# is the labelled tree the pruning rules leave (142,637 before the
+# saturation debt rule); with it on, a larger count means weaker
+# rejection, which loses no solution and so shows nowhere else.
+POOL_CASES = [(enumerate_extremal, SearchProblem(9, 3, 2), 21_998),
+              (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 31_741),
+              (exact_sat, SearchProblem(9, 3, 2), 21_998),
+              (exact_sat, SearchProblem(9, 3, 2, mode="sat-exact"), 21_998),
+              (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 13_422),
+              (exact_sat, SearchProblem(8, 4, 3), 24_184),
+              (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 24_184),
+              (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 31_114)]
+
+
+def _check_worker_count(monkeypatch):
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
-    cases = [(enumerate_extremal, SearchProblem(9, 3, 2), 21_998),
-             (exact_sat, SearchProblem(7, 3, 2, iso_reject=False), 31_741),
-             (exact_sat, SearchProblem(9, 3, 2), 21_998),
-             (exact_sat, SearchProblem(9, 3, 2, mode="sat-exact"), 21_998),
-             (exact_semi_sat, SearchProblem(8, 3, 2, mode="semi"), 13_422),
-             (exact_sat, SearchProblem(8, 4, 3), 24_184),
-             (exact_sat, SearchProblem(8, 4, 3, mode="sat-exact"), 24_184),
-             (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 31_114)]
-    for solve, problem, nodes in cases:
+    for solve, problem, nodes in POOL_CASES:
         serial = solve(problem, threads=1)
         before = _CountingPool.submitted
         pooled = solve(problem, threads=2)
@@ -571,6 +584,64 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert _without_time(pooled) == _without_time(serial), problem
         assert pooled.extremal == serial.extremal
         assert serial.nodes == nodes, problem
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    _small_quotas(monkeypatch)
+    _check_worker_count(monkeypatch)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATGRAPH_LONG_TESTS"),
+    reason="every node handed back, about 50 s; set SATGRAPH_LONG_TESTS=1",
+)
+def test_worker_count_does_not_change_results_at_quota_one(monkeypatch):
+    # each walk, in process or in a worker, takes one node and hands back
+    # the rest of its stack
+    _small_quotas(monkeypatch, 1, 1)
+    _check_worker_count(monkeypatch)
+
+
+def _walk_in_pieces(problem, m, quota):
+    """(solutions, nodes) of level m, walked `quota` nodes at a time: each
+    group handed back is walked the same way, in process, the last first."""
+    search = satgraph.search
+    budget, memo = search._Budget(10**9, time.monotonic() + 600), {}
+    solutions, groups = search._search(problem, m, None, quota, budget, memo)
+    while groups:
+        found, more = search._search(problem, m, groups.pop(), quota, budget, memo)
+        solutions |= found
+        groups += more
+    return solutions, budget.nodes
+
+
+def test_handed_back_groups_finish_the_walk():
+    # the groups of a walk stopped at its quota hold the rest of the level:
+    # walked apart, in another order, they give the solutions and node
+    # count of one uninterrupted walk, at an infeasible level and the first
+    # feasible one
+    for problem, value in [(SearchProblem(9, 3, 2), 13),
+                           (SearchProblem(8, 4, 3, mode="semi"), 16),
+                           (SearchProblem(8, 5, 4), 20),
+                           (SearchProblem(7, 3, 2, iso_reject=False), 9)]:
+        for m in (value - 1, value):
+            whole = _walk_in_pieces(problem, m, None)
+            assert bool(whole[0]) == (m == value) and whole[1] > 4_000, (problem, m)
+            for quota in (1, 7, 500):
+                assert _walk_in_pieces(problem, m, quota) == whole, (problem, m, quota)
+
+
+def test_default_quotas_share_only_a_large_first_level(monkeypatch):
+    # (9, 3, 2) walks 269 nodes on its first level and at most 10,647 on a
+    # later one, whose prefixes the memo knows from the levels before: it
+    # starts no worker.  The one level of (10, 4, 5) semi, 38,884 nodes,
+    # goes to the pool once it passes 2,048.
+    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    before = _CountingPool.submitted
+    assert exact_sat(SearchProblem(9, 3, 2), threads=2).value == 13
+    assert _CountingPool.submitted == before
+    assert exact_semi_sat(SearchProblem(10, 4, 5, mode="semi"), threads=2).value == 25
+    assert _CountingPool.submitted > before
 
 
 def _count_labellings(monkeypatch) -> list:
@@ -683,7 +754,8 @@ def test_memo_lives_for_one_search(monkeypatch):
         assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
         assert len(memos[0][0]) > 0
     assert counts == [150, 150]
-    # (8, 3, 2) is too small to split; (9, 3, 2) shares its levels
+    # with small quotas, (9, 3, 2) shares its levels with the pool
+    _small_quotas(monkeypatch)
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
     before = _CountingPool.submitted
     assert exact_sat(SearchProblem(9, 3, 2), threads=2).value == 13
@@ -713,6 +785,7 @@ class _InProcessPool:
 def test_default_workers_are_the_usable_cpus(monkeypatch):
     # a library call, like the CLI, starts no more workers than the CPUs
     # this process may run on; an explicit count is taken as given
+    _small_quotas(monkeypatch)
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     # what the stand-in's initializer sets in this process
@@ -733,10 +806,11 @@ def test_threads_must_be_positive():
 
 
 def test_node_budget_stops_the_pool(monkeypatch):
-    # (8, 4, 3) spends 2,661 nodes on its first level, which is not split,
-    # then 1,702 on the second above its split and 3,856 below, at most 118
-    # in one subtree: at 4,400 a subtree task runs out, at 6,000 none does
-    # but their sum does
+    # (8, 4, 3) spends 2,661 nodes on its first level and 5,558 on its
+    # second; past 1,000 nodes each level goes to the pool, in tasks of at
+    # most 500 nodes that are given the nodes left when submitted: at 4,400
+    # and at 6,000 the sum of the second level's tasks runs out
+    _small_quotas(monkeypatch)
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
     for budget in (4_400, 6_000):
         for threads in (1, 2):
@@ -761,6 +835,7 @@ def test_labelling_guard_in_a_worker_is_a_resource_limit(monkeypatch, capsys):
             return os.getpid() != parent
 
     monkeypatch.setattr(satgraph.canon, "_LABELING_GUARD", TripsInWorkers())
+    _small_quotas(monkeypatch)
     assert exact_sat(SearchProblem(7, 3, 2), threads=1).value == 9
     r = exact_sat(SearchProblem(9, 3, 2), threads=2)
     assert r.status == "resource-limit"
@@ -783,19 +858,22 @@ def test_time_budget_stops_a_search():
 
 
 def test_worker_task_stops_at_its_first_node(monkeypatch):
-    # a task is run here as a worker would run it, with no process started
+    # a task is run here as a worker would run it, with no process started,
+    # on a copy of a group that a walk handed back, as a worker receives it
     problem, m = SearchProblem(9, 3, 2), 13
     search = satgraph.search
     budget = search._Budget(10**9, time.monotonic() + 60)
-    state = search._search(problem, m, None, 5, budget, {})[1][0]  # a 5-vertex prefix
+    group = pickle.dumps(search._search(problem, m, None, 500, budget, {})[1][0])
     monkeypatch.setattr(search, "_worker_memo", {})
     flag = threading.Event()
     monkeypatch.setattr(search, "_worker_stop", flag)
-    found, nodes = search._subtree(problem, m, state, 10**9, time.monotonic() + 60)
+    found, nodes, _ = search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() + 60)
     assert found is not None and nodes > 1
-    assert search._subtree(problem, m, state, 10**9, time.monotonic() - 1) == (None, 1)
+    assert search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() - 1)[:2] == (
+        None, 1)
     flag.set()
-    assert search._subtree(problem, m, state, 10**9, time.monotonic() + 60) == (None, 1)
+    assert search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() + 60)[:2] == (
+        None, 1)
 
 
 def test_serial_search_walks_each_level_once(monkeypatch):
