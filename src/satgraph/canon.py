@@ -209,7 +209,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 def masks_from_packed(n: int, packed: int) -> list[int]:
     """Adjacency masks from a packed form; bits above the C(n,2) pairs are ignored."""
     npairs = n * (n - 1) // 2
-    return triangle_masks(n, format(packed & ((1 << npairs) - 1), f"0{npairs}b"))
+    return triangle_masks(n, int(format(packed & ((1 << npairs) - 1), f"0{npairs}b")[::-1], 2))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -123,8 +123,7 @@ def _cmd_construct(a) -> int:
 def _verify_line(job):
     text, p, t, semi = job
     rep = check_bounds(decode(text), p, t)
-    ok = rep.semi_saturated if semi else rep.saturated
-    return ok, json.dumps(rep.to_json())
+    return (rep.semi_saturated if semi else rep.saturated), rep.json_line()
 
 
 def _cmd_verify(a) -> int:

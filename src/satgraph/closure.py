@@ -17,7 +17,7 @@ control by at least 1/(2t); at most 2t^2 steps can occur.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from fractions import Fraction
 from math import comb
@@ -114,17 +114,21 @@ def make_state(g: Graph, t: int, r: Iterable[int]) -> ClosureState:
 
 def weight(state: ClosureState, v: int) -> int:
     """Scaled weight 2t*w(v) = 2t*deg_Rbar(v) + t*deg_Y(v)."""
-    t = state.t
-    a = state.graph.adj_mask(v)
+    t, a = state.t, state.graph.masks()[v]
     return 2 * t * (a & state.rbar_mask).bit_count() + t * (a & state.y_mask).bit_count()
 
 
 def control(state: ClosureState, v: int) -> int:
     """Scaled control 2t*l(v); always <= weight(v) on Y."""
     t, adj, r = state.t, state.graph.masks(), state.r_mask
-    a = state.graph.adj_mask(v)
+    a = adj[v]
     total = 2 * t * (a & r).bit_count() + t * (a & state.rbar_mask & ~r).bit_count()
-    return total + sum((adj[u] & r).bit_count() for u in iter_bits(a & state.y_mask))
+    y = a & state.y_mask
+    while y:
+        low = y & -y
+        total += (adj[low.bit_length() - 1] & r).bit_count()
+        y ^= low
+    return total
 
 
 def bad_vertices(state: ClosureState) -> tuple[int, ...]:
@@ -139,7 +143,7 @@ def _antichain(state: ClosureState) -> tuple[list[int], tuple[int, ...]]:
         raise DomainError("no bad vertices; nothing to trace")
     rep_of: dict[int, int] = {}
     for y in bad:
-        rep_of.setdefault(state.graph.adj_mask(y) & state.r_mask, y)
+        rep_of.setdefault(state.graph.masks()[y] & state.r_mask, y)
     maximal = [tr for tr in rep_of if not any(tr != o and tr & o == tr for o in rep_of)]
     maximal.sort(key=lambda tr: tuple(iter_bits(tr)))
     return maximal, tuple(rep_of[tr] for tr in maximal)
@@ -155,7 +159,7 @@ def trace_antichain(state: ClosureState) -> tuple[tuple[frozenset[int], ...], tu
 def refine(state: ClosureState) -> tuple[ClosureState, "StepRecord"]:
     """One refinement round; checks its own postconditions and records an
     auditable step."""
-    t, g = state.t, state.graph
+    t, g, adj = state.t, state.graph, state.graph.masks()
     traces, reps = _antichain(state)
     if any(tr.bit_count() > t - 1 for tr in traces):
         raise IntegrityError("a trace has size >= t, so the closure is stale")
@@ -165,7 +169,7 @@ def refine(state: ClosureState) -> tuple[ClosureState, "StepRecord"]:
         raise IntegrityError("trace family is not a bounded antichain")
     xs, r_after = [], state.r_mask
     for y in reps:
-        cand = g.adj_mask(y) & state.y_mask
+        cand = adj[y] & state.y_mask
         if not cand:
             raise IntegrityError(
                 f"representative {y} has no neighbour outside the closure; "
@@ -173,7 +177,7 @@ def refine(state: ClosureState) -> tuple[ClosureState, "StepRecord"]:
             )
         x = (cand & -cand).bit_length() - 1
         xs.append(x)
-        r_after |= (1 << x) | (g.adj_mask(x) & state.rbar_mask)
+        r_after |= (1 << x) | (adj[x] & state.rbar_mask)
     if r_after.bit_count() > size + t * size ** max(t - 1, 0):
         raise IntegrityError("refined seed exceeded its size bound")
     record = StepRecord(
@@ -201,7 +205,7 @@ class StepRecord:
     r_after: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ class Certificate:
     verified: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self), steps=tuple(s.to_json() for s in self.steps))
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":

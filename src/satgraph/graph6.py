@@ -6,42 +6,48 @@ adjacency matrix in column order, six bits per printable character
 (values 63..126).  Supported range here is 0 <= n < 2**18.
 
 Only `triangle_bits` and `triangle_masks` know the layout: pair (j, k),
-j < k, is bit C(k,2)+j, so column k is vertex k's mask below k shifted by
-C(k,2).  `canon` packs the same bit string, read most-significant-first.
+j < k, is bit C(k,2)+j of one integer, so column k is vertex k's mask
+below k shifted by C(k,2).  `canon` packs the same pairs, read
+most-significant-first.  Data characters are base64 in another alphabet:
+`binascii` packs them, and reversing each byte's bits gives that integer.
 """
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from typing import Sequence
 
 from .errors import DomainError, Graph6Error
-from .graphs import Graph, iter_bits
+from .graphs import Graph
 
 __all__ = ["encode", "decode", "triangle_bits", "triangle_masks", "Graph6Error"]
 
 _HEADER = ">>graph6<<"
-_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
-_BITS = {c: b for b, c in _CHAR.items()}
+_G6 = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64, _FROM_B64 = bytes.maketrans(_G6, _B64), bytes.maketrans(_B64, _G6)
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def triangle_bits(adj: Sequence[int], width: int) -> str:
-    """The upper triangle of the adjacency masks `adj` as a '0'/'1' string
-    in pair order, zero-padded to `width` >= C(n,2) characters."""
+def triangle_bits(adj: Sequence[int]) -> int:
+    """The upper triangle of the adjacency masks `adj` as one pair-order integer."""
     t = 0
-    for k in range(1, len(adj)):
-        t |= (adj[k] & ((1 << k) - 1)) << (k * (k - 1) // 2)
-    # the extra top bit fixes the width, also at width 0; [:0:-1] drops it
-    return format(t | 1 << width, "b")[:0:-1]
+    for k in range(len(adj) - 1, 0, -1):
+        t = t << k | adj[k] & ((1 << k) - 1)
+    return t
 
 
-def triangle_masks(n: int, bits: str) -> list[int]:
-    """Adjacency masks from a pair-order '0'/'1' string; characters past
-    C(n,2) are ignored."""
-    t = int(bits[::-1] or "0", 2)
+def triangle_masks(n: int, t: int) -> list[int]:
+    """Adjacency masks from a pair-order integer; bits past C(n,2) are ignored."""
     masks = [0] * n
     for k in range(1, n):
-        masks[k] = t >> (k * (k - 1) // 2) & ((1 << k) - 1)
-        for j in iter_bits(masks[k]):
-            masks[j] |= 1 << k
+        col = t & ((1 << k) - 1)
+        t >>= k
+        masks[k] = col
+        bit = 1 << k
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= bit
+            col ^= low
     return masks
 
 
@@ -50,19 +56,19 @@ def encode(g: Graph) -> str:
     n = g.n
     if n >= 1 << 18:
         raise DomainError(f"graph6 encoding supported for n < 2**18, got {n}")
-    npairs = n * (n - 1) // 2
-    prefix, head = ("", format(n, "06b")) if n <= 62 else ("~", format(n, "018b"))
-    bits = head + triangle_bits(g.masks(), npairs + -npairs % 6)
-    return prefix + "".join([_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+    size = (n * (n - 1) // 2 + 5) // 6
+    raw = triangle_bits(g.masks()).to_bytes((6 * size + 7) // 8, "little").translate(_REVERSED)
+    head = chr(63 + n) if n <= 62 else "~" + "".join([chr(63 + (n >> s & 63)) for s in (12, 6, 0)])
+    return head + b2a_base64(raw, newline=False)[:size].translate(_FROM_B64).decode()
 
 
-def _bits(s: str, lo: int, hi: int, base: int) -> str:
-    """The six bits of each character of s[lo:hi], in order."""
-    try:
-        return "".join([_BITS[c] for c in s[lo:hi]])
-    except KeyError:
-        i = next(i for i in range(lo, hi) if s[i] not in _BITS)
-        raise Graph6Error(f"character {s[i]!r} outside graph6 range", base + i) from None
+def _chars(s: str, lo: int, hi: int, base: int) -> bytes:
+    """s[lo:hi] as bytes, each checked to be a graph6 character."""
+    b = s[lo:hi].encode("utf-8", "surrogatepass")  # past ASCII: bytes >= 128
+    if b.translate(None, _G6):
+        i = next(i for i in range(lo, hi) if not "?" <= s[i] <= "~")
+        raise Graph6Error(f"character {s[i]!r} outside graph6 range", base + i)
+    return b
 
 
 def decode(text: str) -> Graph:
@@ -78,7 +84,9 @@ def decode(text: str) -> Graph:
             raise Graph6Error("n >= 2**18 not supported", base)
         if len(s) < 4:
             raise Graph6Error("truncated vertex-count header", base + len(s))
-    n = int(_bits(s, lo, body, base), 2)
+    n = 0
+    for c in _chars(s, lo, body, base):
+        n = n << 6 | c - 63
 
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
@@ -87,8 +95,9 @@ def decode(text: str) -> Graph:
         raise Graph6Error(f"truncated: need {need} data characters, got {have}", base + len(s))
     if have > need:
         raise Graph6Error(f"trailing data beyond {need} data characters", base + body + need)
-    bits = _bits(s, body, len(s), base)
+    data = _chars(s, body, len(s), base).translate(_TO_B64) + b"A" * (-need % 4)
+    t = int.from_bytes(a2b_base64(data).translate(_REVERSED), "little")
     # padding, fewer than six bits, lies in the last character
-    if "1" in bits[npairs:]:
+    if t >> npairs:
         raise Graph6Error("nonzero padding bits", base + len(s) - 1)
-    return Graph._unchecked(n, triangle_masks(n, bits))
+    return Graph._unchecked(n, triangle_masks(n, t))

@@ -100,14 +100,14 @@ class Graph:
     def min_degree(self) -> int:
         if self.n == 0:
             raise DomainError("min_degree undefined for the empty graph")
-        return min(m.bit_count() for m in self._adj)
+        return min(map(int.bit_count, self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         return bool(self.adj_mask(v) >> u & 1)
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        return sum(map(int.bit_count, self._adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
@@ -171,19 +171,15 @@ def find_clique_in_mask(adj: Sequence[int], cand: int, k: int) -> Optional[tuple
         return ()
     out: list[int] = []
 
-    def rec(cand: int, k: int) -> bool:
-        if k == 0:
-            return True
-        if cand.bit_count() < k:
+    def rec(m: int, k: int) -> bool:
+        if m.bit_count() < k:
             return False
-        m = cand
         while m:
             low = m & -m
             v = low.bit_length() - 1
-            m ^= low
             out.append(v)
-            # only vertices above v keep the sequence increasing
-            if rec(cand & adj[v] & ~((low << 1) - 1), k - 1):
+            m ^= low  # now the candidates above v
+            if k == 1 or rec(m & adj[v], k - 1):
                 return True
             out.pop()
         return False

@@ -136,6 +136,8 @@ def creates_complete(
         common &= links.get(cand[:i] + cand[i + 1:], 0)
         if not common:
             return False
+    if p == r + 1:
+        return True  # the S + {x} are all the other r-subsets
     for extra in combinations(iter_bits(common), p - r):
         s = tuple(sorted(cand + extra))
         if all(sub == cand or sub in eset for sub in combinations(s, r)):
@@ -188,7 +190,7 @@ def contains_r_clique(h: Hypergraph, p: int) -> bool:
 def to_text(h: Hypergraph) -> str:
     """Serialize to the "r n m" + sorted edge lines format."""
     lines = [f"{h.r} {h.n} {len(h.edges)}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
+    lines.extend(" ".join(map(str, e)) for e in h.edges)
     return "\n".join(lines) + "\n"
 
 

@@ -102,7 +102,15 @@ def sidorenko_base(r: int, t: int, n: int) -> tuple[Hypergraph, CyclicPartition]
     if n < r * t:
         raise DomainError(f"need n >= rt = {r * t}, got {n}")
     part = CyclicPartition(r, t, n)
-    edges = [e for e in combinations(range(n), r) if not has_cyclic_excess(e, part)]
+    # an r-set's classes, in order, give the counts `has_cyclic_excess` reads
+    classes = [part.class_of(v) for v in range(n)].__getitem__
+    edges, kept = [], {}
+    for e in combinations(range(n), r):
+        key = tuple(map(classes, e))
+        if key not in kept:
+            kept[key] = not has_cyclic_excess(e, part)
+        if kept[key]:
+            edges.append(e)
     return Hypergraph(r, n, edges), part
 
 

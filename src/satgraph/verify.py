@@ -15,10 +15,10 @@ touches floating point.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import json
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, FatalInconsistencyError, _check_p, _need
 from .graph6 import encode
@@ -56,12 +56,8 @@ def is_kp_free(g: Graph, p: int) -> bool:
 
 def _unsaturated_above(adj: Sequence[int], n: int, u: int, k: int) -> int:
     """Mask of the v > u not adjacent to u whose common neighbourhood with
-    u holds no k-clique.
-
-    One DFS over the increasing k-cliques of N(u); `live` is the open v
-    adjacent to every vertex chosen so far, and a branch ends when it is
-    empty.  A clique reached at depth k closes its `live`.
-    """
+    u holds no k-clique: the search of the module docstring, where `live`
+    is the open v adjacent to every vertex chosen so far."""
     todo = ((1 << n) - 1) & ~adj[u] & ~((2 << u) - 1)
     if k <= 0 or not todo:
         return 0
@@ -87,12 +83,7 @@ def _unsaturated_above(adj: Sequence[int], n: int, u: int, k: int) -> int:
 
 
 def non_saturating_pair(g: Graph, p: int) -> Optional[tuple[int, int]]:
-    """Lexicographically least non-edge whose addition creates no new K_p.
-
-    The least u with an unsaturated non-edge uv above it comes first, and
-    `_unsaturated_above` returns every such v for that u at once, so its
-    lowest bit is the least pair.
-    """
+    """Lexicographically least non-edge whose addition creates no new K_p."""
     _check_p(p)
     adj = g.masks()
     for u in range(g.n):
@@ -151,7 +142,7 @@ def dh_semi_bound(n: int, delta: int, p: int) -> Fraction:
     """(n-delta-1)(delta+p-2)/2 + delta - C(p-2,2): a lower bound for
     K_p-saturated and K_p-semi-saturated graphs with minimum degree delta."""
     _check_p(p, delta)
-    return Fraction((n - delta - 1) * (delta + p - 2), 2) + delta - comb(p - 2, 2)
+    return Fraction((n - delta - 1) * (delta + p - 2) + 2 * (delta - comb(p - 2, 2)), 2)
 
 
 def dh_mixed_bound(n: int, p: int, t: int) -> Fraction:
@@ -169,10 +160,12 @@ def closure_tower_term(t: int) -> int:
     """
     if not 1 <= t <= 3:
         raise DomainError(f"need 1 <= t <= 3, got {t}")
-    exponent = t ** (2 * t * t)
-    if t & (t + 1) == 0:  # t + 1 == 2 ** t.bit_length(): shift, far cheaper than the power
-        return t << t.bit_length() * exponent
-    return t * (t + 1) ** exponent
+    # 3 * 4^(3^18): a shift, far cheaper than a power
+    return _TOWERS[t] if t < 3 else 3 << 2 * 3 ** 18
+
+
+# t = 3's 97 MB term is built per call, never kept
+_TOWERS = {1: 2, 2: 2 * 3 ** 256}
 
 
 def closure_tower_bound(n: int, p: int, t: int) -> int:
@@ -203,23 +196,13 @@ def bollobas_bound(n: int, r: int, p: int) -> int:
 
 # -- verification reports --------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundEval:
+class BoundEval(NamedTuple):
     name: str
     value: Fraction
     satisfied: bool
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value_num": self.value.numerator,
-            "value_den": self.value.denominator,
-            "satisfied": self.satisfied,
-        }
 
-
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     subject: str
     n: int
     p: int
@@ -233,13 +216,25 @@ class VerifyReport:
     witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        # vars, not asdict: no deep copy of the witness and the Fractions
-        return dict(vars(self), bounds=[b.to_json() for b in self.bounds])
+        return json.loads(self.json_line())
+
+    def json_line(self) -> str:
+        """The report as one line of JSON; `verify` prints one per graph."""
+        bounds = ", ".join([
+            f'{{"name": "{b.name}", "value_num": {b.value.numerator}, '
+            f'"value_den": {b.value.denominator}, "satisfied": {_JS[b.satisfied]}}}'
+            for b in self.bounds])
+        w = self.witness
+        witness = "null" if w is None else f'{{"kind": "{w["kind"]}", "vertices": {w["vertices"]}}}'
+        return (f'{{"subject": {json.encoder.encode_basestring_ascii(self.subject)}, '
+                f'"n": {self.n}, "p": {self.p}, "t": {"null" if self.t is None else self.t}, '
+                f'"edges": {self.edges}, "min_degree": {self.min_degree}, '
+                f'"kp_free": {_JS[self.kp_free]}, "saturated": {_JS[self.saturated]}, '
+                f'"semi_saturated": {_JS[self.semi_saturated]}, "bounds": [{bounds}], '
+                f'"witness": {witness}}}')
 
 
-def _hypergraph_digest(h: Hypergraph) -> str:
-    sha = hashlib.sha256(to_text(h).encode()).hexdigest()[:16]
-    return f"hg:r{h.r}:n{h.n}:m{h.edge_count()}:{sha}"
+_JS = {True: "true", False: "false", None: "null"}
 
 
 def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = None) -> VerifyReport:
@@ -247,87 +242,49 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
 
     A violated proven lower bound on a subject whose saturation was just
     verified is impossible; if observed it raises FatalInconsistencyError.
+    Those in `_SEMI_BOUNDS` hold on a semi-saturated graph too.
     """
     _need("t", t, 0)
     if isinstance(subject, Hypergraph):
-        return _check_hypergraph(subject, p, t)
-    return _check_graph(subject, p, t)
-
-
-def _check_graph(g: Graph, p: int, t: Optional[int]) -> VerifyReport:
-    _check_p(p)
-    n = g.n
-    e = g.edge_count()
-    delta = g.min_degree() if n > 0 else 0
-    clique = find_clique(g, p)
-    kp_free = clique is None
-    pair = non_saturating_pair(g, p)
-    semi = pair is None
-    saturated = kp_free and semi
+        h = subject
+        _check_p(p, r=h.r)
+        n, edges, semi, kind = h.n, h.edge_count(), None, "r_clique"
+        sha = hashlib.sha256(to_text(h).encode()).hexdigest()[:16]
+        name = f"hg:r{h.r}:n{n}:m{edges}:{sha}"
+        delta = h.min_codegree(h.r - 1) if n >= h.r - 1 >= 1 else 0
+        clique, missing = find_r_clique(h, p), non_saturating_r_set(h, p)
+        values = [("bollobas", Fraction(bollobas_bound(n, h.r, p)))]
+    else:
+        g = subject
+        _check_p(p)
+        n, edges, kind = g.n, g.edge_count(), "clique"
+        delta = g.min_degree() if n > 0 else 0
+        clique, missing = find_clique(g, p), non_saturating_pair(g, p)
+        name, semi = encode(g), missing is None
+        values = [("ehm", Fraction(ehm_bound(n, p))), ("dh_semi", dh_semi_bound(n, delta, p))]
+        if t is not None and delta >= t:
+            # these bounds presuppose min degree >= t
+            if n >= 4 * t:
+                values.append(("dh_mixed", dh_mixed_bound(n, p, t)))
+            if 1 <= t <= 2:
+                values.append(("closure_tower", Fraction(closure_tower_bound(n, p, t))))
+    saturated = clique is None and missing is None
     witness: Optional[dict] = None
     if clique is not None:
-        witness = {"kind": "clique", "vertices": list(clique)}
-    elif pair is not None:
-        witness = {"kind": "non_edge", "vertices": list(pair)}
-
-    v = ehm_bound(n, p)
-    bounds = [BoundEval("ehm", Fraction(v), e >= v)]
-    v = dh_semi_bound(n, delta, p)
-    bounds.append(BoundEval("dh_semi", v, e >= v))
-    if t is not None and delta >= t:
-        # these bounds presuppose min degree >= t
-        if n >= 4 * t:
-            v = dh_mixed_bound(n, p, t)
-            bounds.append(BoundEval("dh_mixed", v, e >= v))
-        if 1 <= t <= 2:
-            v = closure_tower_bound(n, p, t)
-            bounds.append(BoundEval("closure_tower", Fraction(v), e >= v))
-
-    report = VerifyReport(
-        subject=encode(g), n=n, p=p, t=t, edges=e, min_degree=delta,
-        kp_free=kp_free, saturated=saturated, semi_saturated=semi,
-        bounds=tuple(bounds), witness=witness,
-    )
-    _raise_if_fatal(report)
-    return report
-
-
-def _check_hypergraph(h: Hypergraph, p: int, t: Optional[int]) -> VerifyReport:
-    _check_p(p, r=h.r)
-    e = h.edge_count()
-    delta = h.min_codegree(h.r - 1) if h.n >= h.r - 1 >= 1 else 0
-    clique = find_r_clique(h, p)
-    kp_free = clique is None
-    missing = non_saturating_r_set(h, p)
-    saturated = kp_free and missing is None
-    witness: Optional[dict] = None
-    if clique is not None:
-        witness = {"kind": "r_clique", "vertices": list(clique)}
+        witness = {"kind": kind, "vertices": list(clique)}
     elif missing is not None:
         witness = {"kind": "non_edge", "vertices": list(missing)}
-
-    v = bollobas_bound(h.n, h.r, p)
-    bounds = (BoundEval("bollobas", Fraction(v), e >= v),)
-    report = VerifyReport(
-        subject=_hypergraph_digest(h), n=h.n, p=p, t=t, edges=e,
-        min_degree=delta, kp_free=kp_free, saturated=saturated,
-        semi_saturated=None, bounds=bounds, witness=witness,
-    )
-    _raise_if_fatal(report)
+    bounds, fatal = [], None
+    for bound, v in values:
+        ok = edges * v.denominator >= v.numerator
+        bounds.append(BoundEval(bound, v, ok))
+        if not ok and fatal is None and (saturated or semi and bound in _SEMI_BOUNDS):
+            fatal = f"verified-saturated subject violates the {bound} lower bound ({edges} < {v})"
+    report = VerifyReport(name, n, p, t, edges, delta, clique is None, saturated, semi,
+                          tuple(bounds), witness)
+    if fatal:
+        raise FatalInconsistencyError(fatal, report)
     return report
 
 
 _SEMI_BOUNDS = frozenset({"ehm", "dh_semi", "dh_mixed"})
-
-
-def _raise_if_fatal(report: VerifyReport) -> None:
-    """Proven lower bounds cannot fail on a subject this module just
-    verified as saturated; those in `_SEMI_BOUNDS` hold if semi-saturated."""
-    for b in report.bounds:
-        proven = report.saturated or (report.semi_saturated and b.name in _SEMI_BOUNDS)
-        if proven and not b.satisfied:
-            raise FatalInconsistencyError(
-                f"verified-saturated subject violates the {b.name} lower bound "
-                f"({report.edges} < {b.value})",
-                report,
-            )

@@ -126,6 +126,15 @@ def test_sidorenko_base_golden():
         sidorenko_base(3, 2, 5)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_sidorenko_base_is_the_r_sets_without_cyclic_excess(r):
+    for t in (1, 2, 3):
+        for n in range(r * t, r * t + 7):
+            h, part = sidorenko_base(r, t, n)
+            want = [e for e in combinations(range(n), r) if not has_cyclic_excess(e, part)]
+            assert list(h.edges) == want
+
+
 def test_extension_class_check_finds_violations():
     h, part = sidorenko_base(3, 2, 8)
     broken = Hypergraph(h.r, h.n, [e for e in h.edges if e != h.edges[0]])

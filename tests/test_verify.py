@@ -1,8 +1,13 @@
 """Tests for saturation checkers, bound evaluators, and reports."""
 from __future__ import annotations
 
+import gc
+import json
+import math
+import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -322,3 +327,79 @@ def test_saturated_constructions_meet_lower_bounds():
         assert e >= ehm_bound(g.n, p)
         assert e >= closure_tower_bound(g.n, p, t)
         assert e >= dh_semi_bound(g.n, g.min_degree(), p)
+
+
+def test_bounds_match_their_docstring_formulas():
+    # plain Fraction transcriptions, one per docstring, at every degree
+    F = Fraction
+
+    def c2(x):
+        return F(x) * (x - 1) / 2
+
+    for p in range(3, 9):
+        for n in range(1, 61):
+            ehm = ehm_bound(n, p)
+            assert type(ehm) is int and ehm == n * (p - 2) - c2(p - 1)
+            for d in range(n):
+                want = F(n - d - 1) * (d + p - 2) / 2 + d - c2(p - 2)
+                for got in (dh_semi_bound(n, d, p), dh_mixed_bound(n, p, d),
+                            semi_sat_lower_bound(n, p, d)):
+                    assert type(got) is Fraction and got == want
+                s = max(d, p - 2)
+                upper = semi_sat_upper_bound(n, p, d)
+                assert type(upper) is int
+                assert upper == math.ceil(F(s + p - 2) * (n - (p - 2)) / 2) + c2(p - 2)
+            for t in (1, 2):
+                tower = closure_tower_bound(n, p, t)
+                assert type(tower) is int and tower == t * n - t * (t + 1) ** (t ** (2 * t * t))
+
+
+def _reachable_ints(root: dict):
+    """Bit lengths of the ints reachable from a module's namespace, not
+    passing through other modules or classes."""
+    namespaces = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) is int:
+            yield obj.bit_length()
+        elif not isinstance(obj, (type, types.ModuleType)) and (
+                obj is root or id(obj) not in namespaces):
+            stack.extend(gc.get_referents(obj))
+
+
+def test_tower_term_at_three_is_not_kept():
+    assert closure_tower_bound(40, 3, 3) < 0
+    assert closure_tower_term(3).bit_length() == 774_840_980
+    assert max(_reachable_ints(vars(verify))) < 1_000
+
+
+def test_report_json_line_matches_json_dumps():
+    # the report's JSON as a dict of its fields, as json.dumps writes it
+    def dumped(rep):
+        bounds = [{"name": b.name, "value_num": b.value.numerator,
+                   "value_den": b.value.denominator, "satisfied": b.satisfied}
+                  for b in rep.bounds]
+        return json.dumps(dict(rep._asdict(), bounds=bounds))
+
+    rng = random.Random(5)
+    subjects = [bollobas_extremal(8, 3, 5), bollobas_extremal(7, 4, 6), cycle(5), petersen(),
+                Graph(2), Graph(0)]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        subjects.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]))
+    seen = set()
+    for g in subjects:
+        for p, t in ((3, None), (3, 0), (3, 1), (3, 2), (4, 3)):
+            if isinstance(g, Hypergraph) and p <= g.r:
+                continue
+            rep = check_bounds(g, p, t)
+            assert rep.json_line() == dumped(rep)
+            assert rep.to_json() == json.loads(dumped(rep))
+            seen.update(b.value.denominator for b in rep.bounds)
+            seen.add("\\" in rep.subject)
+            seen.add(None if rep.witness is None else rep.witness["kind"])
+    assert {1, 2, True, None, "clique", "non_edge"} <= seen
