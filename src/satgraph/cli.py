@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -126,21 +127,35 @@ def _verify_line(job):
     return (rep.semi_saturated if semi else rep.saturated), rep.json_line()
 
 
+# seconds of `verify` lines checked in process before the rest goes to a
+# pool, which costs more than it saves on a short stream of small lines
+_VERIFY_QUOTA = 0.5
+
+
 def _cmd_verify(a) -> int:
     # what `check_bounds` refuses of each line, refused before the first,
     # so that an empty stream is refused too
     _need("t", a.t, 0)
     _check_p(a.p)
     jobs = [(line, a.p, a.t, a.semi) for line in _read_lines(a.input)]
-    workers = _workers(a.threads, len(jobs))
+    results = []
+    if _workers(a.threads, len(jobs)) > 1:
+        # in process until the lines have taken _VERIFY_QUOTA seconds
+        start = time.perf_counter()
+        for job in jobs:
+            if time.perf_counter() - start >= _VERIFY_QUOTA:
+                break
+            results.append(_verify_line(job))
+    rest = jobs[len(results):]
+    workers = _workers(a.threads, len(rest))
     if workers > 1:
         # about four chunks per worker: one task per line costs more in
         # pickling and queueing than a small line takes to check
-        chunk = -(-len(jobs) // (4 * workers))
+        chunk = -(-len(rest) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_line, jobs, chunksize=chunk))
+            results += pool.map(_verify_line, rest, chunksize=chunk)
     else:
-        results = [_verify_line(job) for job in jobs]
+        results += map(_verify_line, rest)
     for _, payload in results:
         print(payload)
     return 0 if all(ok for ok, _ in results) else 1

@@ -281,28 +281,32 @@ def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Cer
         graph6=encode(g), p=p, t=t, r0=seed, steps=tuple(steps), r_star=r_star,
         iterations=len(steps), bound=bound, edges=edges, verified=False,
     )
-    # saturation is a precondition checked above; the replay checks the rest
-    return replace(cert, verified=_verify(cert, g, saturated=True))
+    # g and its saturation are preconditions checked above; the replay checks the rest
+    return replace(cert, verified=_verify(cert, g, own=True))
 
 
 def verify_certificate(cert: Certificate, g: Optional[Graph] = None) -> bool:
     """Re-run `refine` from the seed, compare every recorded field, then
     re-check the final bound; a field of the wrong type or range reads False.
     Not independent of the engine: `tests/oracles.certificate_problem` is."""
-    return _verify(cert, g, saturated=False)
+    return _verify(cert, g, own=False)
 
 
-def _verify(cert: Certificate, g: Optional[Graph], saturated: bool) -> bool:
-    """`verify_certificate`, taking g's saturation as known when `saturated`."""
+def _verify(cert: Certificate, g: Optional[Graph], own: bool) -> bool:
+    """`verify_certificate`; when `own`, g is the saturated graph `certify`
+    has just encoded into `cert`, so it is not decoded or checked again."""
     ints = (cert.p, cert.t, cert.iterations, cert.bound, cert.edges)
     if not (isinstance(cert.graph6, str) and type(cert.verified) is bool
             and isinstance(cert.r0, tuple) and isinstance(cert.r_star, tuple)
             and all(type(x) is int for x in ints + cert.r0 + cert.r_star)):
         return False
     try:
-        named = decode(cert.graph6)
-        g = named if g is None else g
-        if g != named or g.min_degree() < cert.t or not (saturated or is_saturated(g, cert.p)):
+        if not own:
+            named = decode(cert.graph6)
+            g = named if g is None else g
+            if g != named:
+                return False
+        if g.min_degree() < cert.t or not (own or is_saturated(g, cert.p)):
             return False
         state = make_state(g, cert.t, cert.r0)
         for rec in cert.steps:

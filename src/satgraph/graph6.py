@@ -10,6 +10,8 @@ j < k, is bit C(k,2)+j of one integer, so column k is vertex k's mask
 below k shifted by C(k,2).  `canon` packs the same pairs, read
 most-significant-first.  Data characters are base64 in another alphabet:
 `binascii` packs them, and reversing each byte's bits gives that integer.
+`decode` keeps on the graph a line that is already in `encode`'s form
+(the short size form exactly when n <= 62), and `encode` returns it.
 """
 from __future__ import annotations
 
@@ -53,6 +55,8 @@ def triangle_masks(n: int, t: int) -> list[int]:
 
 def encode(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
+    if g._g6 is not None:
+        return g._g6
     n = g.n
     if n >= 1 << 18:
         raise DomainError(f"graph6 encoding supported for n < 2**18, got {n}")
@@ -100,4 +104,5 @@ def decode(text: str) -> Graph:
     # padding, fewer than six bits, lies in the last character
     if t >> npairs:
         raise Graph6Error("nonzero padding bits", base + len(s) - 1)
-    return Graph._unchecked(n, triangle_masks(n, t))
+    # with the size in its short form exactly when n <= 62, s is `encode`'s line
+    return Graph._unchecked(n, triangle_masks(n, t), s if bool(lo) == (n > 62) else None)

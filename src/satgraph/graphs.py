@@ -39,7 +39,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj")
+    # _g6: the line `graph6.decode` read, if `graph6.encode` writes it; else None
+    __slots__ = ("n", "_adj", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -54,6 +55,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
+        self._g6 = None
 
     @classmethod
     def from_masks(cls, n: int, masks: Sequence[int]) -> Graph:
@@ -74,11 +76,12 @@ class Graph:
         return cls._unchecked(n, masks)
 
     @classmethod
-    def _unchecked(cls, n: int, masks: Sequence[int]) -> Graph:
+    def _unchecked(cls, n: int, masks: Sequence[int], g6: Optional[str] = None) -> Graph:
         """`from_masks` for masks in range, loop-free and symmetric by construction."""
         g = object.__new__(cls)
         g.n = n
         g._adj = tuple(masks)
+        g._g6 = g6
         return g
 
     # -- structure ---------------------------------------------------------
@@ -169,6 +172,20 @@ def find_clique_in_mask(adj: Sequence[int], cand: int, k: int) -> Optional[tuple
     """
     if k <= 0:
         return ()
+    if k == 3:  # triangles, the p = 3 case, by mask loops in the same order
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            mid = cand & adj[u]
+            while mid:
+                low = mid & -mid
+                mid ^= low
+                v = low.bit_length() - 1
+                top = mid & adj[v]
+                if top:
+                    return (u, v, (top & -top).bit_length() - 1)
+        return None
     out: list[int] = []
 
     def rec(m: int, k: int) -> bool:

@@ -7,16 +7,20 @@ N(u) settles all non-edges uv with v > u at once: each branch carries the
 still-open v adjacent to every vertex chosen so far, is dropped once none
 is left, and closes them at depth p-2.  Scanning u upwards and taking the
 lowest v still open yields the same lexicographically least non-saturating
-pair as testing the non-edges one by one.
+pair as testing the non-edges one by one.  At p = 3 that search is one
+union: uv is closed iff v lies in the union of N(w) over w in N(u).
 
 All bound evaluators return exact values (int or Fraction); nothing here
-touches floating point.
+touches floating point.  `check_bounds` reads a graph's bounds from a table
+keyed by (n, p, t, min degree) and by the evaluator functions the module
+names at the time, so an evaluator replaced after import is still called.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -61,6 +65,13 @@ def _unsaturated_above(adj: Sequence[int], n: int, u: int, k: int) -> int:
     todo = ((1 << n) - 1) & ~adj[u] & ~((2 << u) - 1)
     if k <= 0 or not todo:
         return 0
+    if k == 1:  # p = 3: the union of the module docstring
+        nbrs = adj[u]
+        while nbrs and todo:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            todo &= ~adj[low.bit_length() - 1]
+        return todo
 
     def rec(cand: int, live: int, need: int, todo: int) -> int:
         while cand and cand.bit_count() >= need:
@@ -220,10 +231,8 @@ class VerifyReport(NamedTuple):
 
     def json_line(self) -> str:
         """The report as one line of JSON; `verify` prints one per graph."""
-        bounds = ", ".join([
-            f'{{"name": "{b.name}", "value_num": {b.value.numerator}, '
-            f'"value_den": {b.value.denominator}, "satisfied": {_JS[b.satisfied]}}}'
-            for b in self.bounds])
+        b = self.bounds
+        bounds = (b if type(b) is _Bounds else _Bounds(b)).json
         w = self.witness
         witness = "null" if w is None else f'{{"kind": "{w["kind"]}", "vertices": {w["vertices"]}}}'
         return (f'{{"subject": {json.encoder.encode_basestring_ascii(self.subject)}, '
@@ -235,6 +244,45 @@ class VerifyReport(NamedTuple):
 
 
 _JS = {True: "true", False: "false", None: "null"}
+
+
+class _Bounds(tuple):
+    """Bound evaluations that write their JSON once; the reports of one
+    table row and outcome share them."""
+
+    @cached_property
+    def json(self) -> str:
+        return ", ".join([
+            f'{{"name": "{b.name}", "value_num": {b.value.numerator}, '
+            f'"value_den": {b.value.denominator}, "satisfied": {_JS[b.satisfied]}}}'
+            for b in self])
+
+
+def _row(values: list[tuple[str, Fraction]]) -> tuple:
+    """A row of bounds: the (name, value) pairs, each value as (numerator,
+    denominator), and the `_Bounds` of each outcome met so far."""
+    return values, [(v.numerator, v.denominator) for _, v in values], {}
+
+
+def _graph_row(n: int, p: int, t: Optional[int], delta: int) -> tuple:
+    """The table's row of graph bounds at (n, p, t, delta)."""
+    key = (n, p, t, delta, ehm_bound, dh_semi_bound, dh_mixed_bound, closure_tower_bound)
+    row = _ROWS.get(key)
+    if row is None:
+        values = [("ehm", Fraction(ehm_bound(n, p))), ("dh_semi", dh_semi_bound(n, delta, p))]
+        if t is not None and delta >= t:
+            # these bounds presuppose min degree >= t
+            if n >= 4 * t:
+                values.append(("dh_mixed", dh_mixed_bound(n, p, t)))
+            if 1 <= t <= 2:
+                values.append(("closure_tower", Fraction(closure_tower_bound(n, p, t))))
+        if len(_ROWS) >= 1024:  # a stream of ever new (n, delta) stays small
+            _ROWS.clear()
+        row = _ROWS[key] = _row(values)
+    return row
+
+
+_ROWS: dict[tuple, tuple] = {}
 
 
 def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = None) -> VerifyReport:
@@ -253,37 +301,33 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
         name = f"hg:r{h.r}:n{n}:m{edges}:{sha}"
         delta = h.min_codegree(h.r - 1) if n >= h.r - 1 >= 1 else 0
         clique, missing = find_r_clique(h, p), non_saturating_r_set(h, p)
-        values = [("bollobas", Fraction(bollobas_bound(n, h.r, p)))]
+        row = _row([("bollobas", Fraction(bollobas_bound(n, h.r, p)))])
     else:
         g = subject
         _check_p(p)
-        n, edges, kind = g.n, g.edge_count(), "clique"
-        delta = g.min_degree() if n > 0 else 0
+        n, kind = g.n, "clique"
+        degrees = list(map(int.bit_count, g.masks()))
+        edges, delta = sum(degrees) // 2, min(degrees, default=0)
+        row = _graph_row(n, p, t, delta)
         clique, missing = find_clique(g, p), non_saturating_pair(g, p)
         name, semi = encode(g), missing is None
-        values = [("ehm", Fraction(ehm_bound(n, p))), ("dh_semi", dh_semi_bound(n, delta, p))]
-        if t is not None and delta >= t:
-            # these bounds presuppose min degree >= t
-            if n >= 4 * t:
-                values.append(("dh_mixed", dh_mixed_bound(n, p, t)))
-            if 1 <= t <= 2:
-                values.append(("closure_tower", Fraction(closure_tower_bound(n, p, t))))
     saturated = clique is None and missing is None
     witness: Optional[dict] = None
     if clique is not None:
         witness = {"kind": kind, "vertices": list(clique)}
     elif missing is not None:
         witness = {"kind": "non_edge", "vertices": list(missing)}
-    bounds, fatal = [], None
-    for bound, v in values:
-        ok = edges * v.denominator >= v.numerator
-        bounds.append(BoundEval(bound, v, ok))
-        if not ok and fatal is None and (saturated or semi and bound in _SEMI_BOUNDS):
-            fatal = f"verified-saturated subject violates the {bound} lower bound ({edges} < {v})"
+    values, limits, seen = row
+    oks = tuple([edges * den >= num for num, den in limits])
+    bounds = seen.get(oks)
+    if bounds is None:
+        bounds = seen[oks] = _Bounds([BoundEval(b, v, ok) for (b, v), ok in zip(values, oks)])
     report = VerifyReport(name, n, p, t, edges, delta, clique is None, saturated, semi,
-                          tuple(bounds), witness)
-    if fatal:
-        raise FatalInconsistencyError(fatal, report)
+                          bounds, witness)
+    for b in bounds:
+        if not b.satisfied and (saturated or semi and b.name in _SEMI_BOUNDS):
+            raise FatalInconsistencyError(f"verified-saturated subject violates the {b.name} "
+                                          f"lower bound ({edges} < {b.value})", report)
     return report
 
 

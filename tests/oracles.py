@@ -37,6 +37,16 @@ def brute_has_clique(g: Graph, k: int) -> bool:
     )
 
 
+def brute_find_clique(g: Graph, k: int, vertices=None):
+    """The first k-subset of `vertices` (default all) that is a clique, or
+    None.  `combinations` yields sorted subsets in lexicographic order, so
+    it is the lexicographically least clique."""
+    for sub in combinations(sorted(range(g.n) if vertices is None else vertices), k):
+        if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+            return sub
+    return None
+
+
 def brute_is_saturated(g: Graph, p: int) -> bool:
     """Definitional check: no K_p, and adding any missing edge creates one
     (vacuously true for a complete K_p-free graph)."""

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from itertools import combinations
 from pathlib import Path
 
@@ -142,15 +143,17 @@ def test_verify_many_lines_reports_each_and_any_failure_wins():
     assert flags == [True, False, True]
 
 
-def test_verify_parallel_output_matches_serial():
+def test_verify_parallel_output_matches_serial(monkeypatch):
+    monkeypatch.setattr(cli, "_VERIFY_QUOTA", 0)  # every line to the pool
     stdin = "DLo\nEhEG\nE@v_\nC~\n"
     serial = run(["verify", "--p", "3", "--threads", "1"], stdin=stdin)
     parallel = run(["verify", "--p", "3", "--threads", "2"], stdin=stdin)
     assert serial == parallel
 
 
-def test_verify_chunked_parallel_output_matches_serial():
+def test_verify_chunked_parallel_output_matches_serial(monkeypatch):
     # 60 lines make chunks of 8 under two workers; the order must survive
+    monkeypatch.setattr(cli, "_VERIFY_QUOTA", 0)
     rng = random.Random(5)
     lines = []
     for i in range(60):
@@ -168,7 +171,15 @@ def test_verify_chunked_parallel_output_matches_serial():
     assert len(flags) == 60 and True in flags and False in flags
 
 
-def test_verify_bad_graph6_is_usage_error():
+def test_verify_reports_each_graph_by_its_canonical_line():
+    code, out, err = run(["verify", "--p", "3", "--threads", "1"],
+                         stdin="~??Dhc\n>>graph6<<Dhc\n>>graph6<<~??Dhc\nDhc\n")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["subject"] for line in out.splitlines()] == ["Dhc"] * 4
+
+
+def test_verify_bad_graph6_is_usage_error(monkeypatch):
+    monkeypatch.setattr(cli, "_VERIFY_QUOTA", 0)
     code, _, err = run(["verify", "--p", "3", "--threads", "1"], stdin="D~\x01\n")
     assert code == 2
     assert json.loads(err)["error"] == "graph6"
@@ -620,6 +631,7 @@ def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "_VERIFY_QUOTA", 0)
     for lines, threads, size in [(2, "5000", 2), (20, "5000", 3), (20, "2", 2), (1, "5000", None)]:
         before = list(_RecordingPool.sizes)
         code, out, err = run(["verify", "--p", "3", "--t", "2", "--threads", threads],
@@ -634,6 +646,26 @@ def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
         code, out, err = run(["search", "--n", "5", "--p", "3", "--t", "2", "--threads", threads])
         assert (code, err) == (0, "")
         assert asked.pop() == size
+
+
+def test_short_verify_stream_stays_in_process(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    stdin = "Dhc\nD??\n" * 30
+    argv = ["verify", "--p", "3", "--t", "2"]  # default threads
+    serial = run(argv + ["--threads", "1"], stdin=stdin)
+    assert serial[0] == 1 and len(serial[1].splitlines()) == 60
+    assert run(argv, stdin=stdin) == serial
+    assert _RecordingPool.sizes == []
+    # a clock that passes the quota partway through: the rest goes to the
+    # pool (at more than one default thread) and the output keeps its order
+    clock = iter(range(1000))
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(cli, "_VERIFY_QUOTA", 10)
+    assert run(argv, stdin=stdin) == serial
+    workers = min(cli._build_parser().parse_args(argv).threads, 3)
+    assert _RecordingPool.sizes == ([workers] if workers > 1 else [])
 
 
 def test_search_threads_flag_keeps_the_json(monkeypatch):

@@ -63,6 +63,21 @@ def test_large_n_round_trip():
     assert decode(encode(g)) == g
 
 
+def test_encode_of_a_decoded_line_is_the_fresh_encoding():
+    # `decode` keeps a line already in `encode`'s form; any other spelling
+    # of the same graph encodes afresh
+    rng = random.Random(3)
+    for n in (0, 1, 5, 11, 62, 63, 64, 100):
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        text = encode(g)
+        size = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+        long = size + text[1 if n <= 62 else 4:]
+        for line in (text, ">>graph6<<" + text, long, ">>graph6<<" + long, text + "\r\n"):
+            h = decode(line)
+            assert h == g
+            assert encode(h) == encode(Graph.from_masks(h.n, h.masks())) == text
+
+
 @given(graphs(max_n=8))
 def test_round_trip(g):
     assert decode(encode(g)) == g

@@ -16,7 +16,7 @@ from satgraph.graphs import (
     mask_of,
 )
 
-from oracles import brute_has_clique
+from oracles import brute_find_clique, brute_has_clique
 
 
 def graphs(max_n: int = 7):
@@ -103,6 +103,13 @@ def test_find_clique_in_mask_is_lex_least():
     assert find_clique_in_mask(adj, mask_of([2, 3, 4]), 3) == (2, 3, 4)
     assert find_clique_in_mask(adj, mask_of(range(5)), 4) is None
     assert find_clique_in_mask(adj, mask_of(range(5)), 1) == (0,)
+
+
+@given(graphs(max_n=9), st.integers(min_value=0, max_value=(1 << 9) - 1))
+def test_find_clique_in_mask_finds_the_least_triangle(g, cand):
+    cand &= (1 << g.n) - 1
+    assert (find_clique_in_mask(g.masks(), cand, 3)
+            == brute_find_clique(g, 3, list(iter_bits(cand))))
 
 
 def test_find_clique_known_graphs():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from satgraph.constructions import (
     clique_join_bipartite,
@@ -219,6 +219,23 @@ def test_check_bounds_flags_violated_lower_bound_as_fatal(monkeypatch):
     assert err.value.report is not None
 
 
+def test_bounds_table_calls_an_evaluator_replaced_after_its_rows(monkeypatch):
+    # the rows of every case are in the table before any evaluator is
+    # replaced; a table keyed by (n, p, t, min degree) alone would serve
+    # them and miss each violation
+    k4 = Graph(4, combinations(range(4), 2))
+    cases = [("ehm_bound", cycle(5), 2), ("dh_semi_bound", k4, 2), ("dh_mixed_bound", k4, 1),
+             ("dh_mixed_bound", cycle(5), 1), ("closure_tower_bound", cycle(5), 2)]
+    for _, g, t in cases:
+        check_bounds(g, 3, t)
+    for name, g, t in cases:
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, lambda *args: 10**6)
+            with pytest.raises(FatalInconsistencyError, match=name.replace("_bound", "")):
+                check_bounds(g, 3, t)
+        check_bounds(g, 3, t)
+
+
 def test_check_bounds_report_keys_and_bound_names():
     out = check_bounds(petersen(), 3, 3).to_json()
     assert list(out) == [
@@ -294,6 +311,7 @@ def test_checkers_match_definitional_brute_force(g, p):
         assert is_kp_free(g, p)
 
 
+@settings(max_examples=400)  # p = 3 takes the neighbourhood unions, p >= 4 the search
 @given(graphs(max_n=9), st.integers(min_value=3, max_value=6))
 def test_non_saturating_pair_matches_oracle(g, p):
     pair = non_saturating_pair(g, p)
