@@ -188,8 +188,7 @@ def f_graph(m: int, s: int) -> Graph:
     odd m a near-perfect matching of long chords is added instead, doubling
     up on one vertex.  Requires m > s >= 0.
     """
-    if s < 0:
-        raise DomainError(f"degree must be non-negative, got {s}")
+    _need("t", s, 0)
     if m <= s:
         raise DomainError(f"need m > s, got m={m}, s={s}")
     edges = []

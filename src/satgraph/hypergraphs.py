@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _need
 from .graphs import iter_bits
 
 __all__ = [
@@ -31,13 +31,13 @@ __all__ = [
 
 
 class Hypergraph:
-    """Immutable r-uniform hypergraph on vertices 0..n-1 (set semantics)."""
+    """Immutable r-uniform hypergraph (r >= 2) on vertices 0..n-1 (set
+    semantics)."""
 
     __slots__ = ("r", "n", "edges", "_eset", "_links")
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]] = ()):
-        if r < 1:
-            raise DomainError(f"uniformity must be >= 1, got {r}")
+        _need("r", r, 2)
         if n < 0:
             raise DomainError(f"vertex count must be non-negative, got {n}")
         norm = set()
@@ -168,7 +168,7 @@ def find_r_clique(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
                 return grown
             # cand holds only vertices above v, so every key stays sorted
             nxt = cand
-            for sub in combinations(chosen, r - 2) if r > 1 else ():
+            for sub in combinations(chosen, r - 2):
                 nxt &= links.get(sub + (v,), 0)
                 if not nxt:
                     break
@@ -177,9 +177,7 @@ def find_r_clique(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
                 return found
         return None
 
-    # for r = 1 the empty choice already has an (r-1)-subset: ()
-    start = links.get((), 0) if r == 1 else (1 << h.n) - 1
-    return rec((), start, p)
+    return rec((), (1 << h.n) - 1, p)
 
 
 def contains_r_clique(h: Hypergraph, p: int) -> bool:

@@ -90,8 +90,9 @@ the search returns; each worker process keeps one for all its tasks,
 started from the search's when the worker is forked, empty otherwise.
 
 Each level is walked in process.  With a worker pool, a walk past its
-node quota hands the rest of its stack to the pool as continuations, a
-task per group (see `_search`), and a task hands back the same way.  The
+node quota, the same on every level, hands the rest of its stack to the
+pool as continuations, a task per group (see `_search`), and a task
+hands back the same way, so a level under the quota starts no pool.  The
 solution sets merge by union, and the node count is the size of one
 fixed tree, whatever the worker count.
 """
@@ -189,18 +190,16 @@ class SearchResult:
 
 
 class _Budget:
-    """Nodes and time left to one process's share of a search.  `stop` is
-    the pool's flag: once set, the worker's task ends as if out of time.
-    A walk reads the clock and the flag at its first node and at every
-    8,192nd node of the budget, so it can pass its deadline by that many."""
+    """Nodes and time left to one process's share of a search.  A walk
+    reads the clock at its first node and at every 8,192nd node of the
+    budget, so it can pass its deadline by that many."""
 
-    __slots__ = ("nodes", "limit", "deadline", "stop")
+    __slots__ = ("nodes", "limit", "deadline")
 
-    def __init__(self, node_budget: int, deadline: float, stop=None):
+    def __init__(self, node_budget: int, deadline: float):
         self.nodes = 0
         self.limit = node_budget
         self.deadline = deadline
-        self.stop = stop
 
     def charge(self, nodes: int):
         """Add the nodes a worker's task spent."""
@@ -334,9 +333,7 @@ def _search(
                     nodes -= 1
                     push((op, idx, e, held, later, owed, parent))
                     break
-                if time.monotonic() > budget.deadline or (
-                    budget.stop is not None and budget.stop.is_set()
-                ):
+                if time.monotonic() > budget.deadline:
                     raise BudgetExceededError("time budget exhausted")
                 check = min(end, nodes + (-nodes & 8191)) + 1
             if op == _TAKE:
@@ -415,28 +412,28 @@ def _search(
 
 # Nodes a walk takes before it hands back its stack.  In process, a level
 # under _QUOTA costs less than in workers, which lack the memo's later
-# verdicts; with the memo empty, _FIRST_QUOTA only spares a small first
-# level a fork.  In a task, few, so that an idle worker soon has work.
+# verdicts.  In a task, few, so that an idle worker soon has work, and so
+# that a stopped search's pool soon ends: closing it cancels the tasks it
+# holds back, and those running or in its call queue (at most one more
+# than the workers) end within _WORKER_QUOTA nodes each.
 _QUOTA = 1 << 16
-_FIRST_QUOTA = 2048
 _WORKER_QUOTA = 4096
 
-# Set in each worker process by the pool's initializer: the pool's stop
-# flag, and the memo the worker keeps for all its tasks.
-_worker_stop = None
+# Set in each worker process by the pool's initializer: the memo the
+# worker keeps for all its tasks.
 _worker_memo: Optional[dict] = None
 
 
-def _init_worker(stop, memo: dict) -> None:
-    global _worker_stop, _worker_memo
-    _worker_stop, _worker_memo = stop, memo
+def _init_worker(memo: dict) -> None:
+    global _worker_memo
+    _worker_memo = memo
 
 
 def _task(problem: SearchProblem, m: int, group: list, nodes_left: int, deadline: float):
     """One worker task: (solutions, nodes, groups) of a walk of `group`,
     handing back at `_WORKER_QUOTA` nodes; the solutions are None when the
     task ran out of nodes or time."""
-    budget = _Budget(nodes_left, deadline, _worker_stop)
+    budget = _Budget(nodes_left, deadline)
     try:
         solutions, groups = _search(problem, m, group, _WORKER_QUOTA, budget, _worker_memo)
     except BudgetExceededError:
@@ -448,13 +445,13 @@ class _Pool:
     """The `size` worker processes of one search, started at a level's
     first handback.  Forked workers start from the contents of the
     search's memo at that time; spawned ones start empty, rather than be
-    sent a copy.  `close` stops their tasks and joins them."""
+    sent a copy.  `close` cancels the tasks not yet started and joins
+    the workers."""
 
     def __init__(self, size: int, memo: dict):
         self.size = size
         self.memo = memo
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._stop = None
 
     def submit(self, problem: SearchProblem, m: int, group: list, budget: _Budget) -> Future:
         """`_task` on one group, with the nodes and time left to `budget`."""
@@ -462,18 +459,16 @@ class _Pool:
             # the platform's default start method: forking a worker costs
             # about 10 ms, spawning one that imports the package about 300 ms
             context = multiprocessing.get_context()
-            self._stop = context.Event()
             memo = self.memo if context.get_start_method() == "fork" else {}
             self._executor = ProcessPoolExecutor(
                 self.size, mp_context=context,
-                initializer=_init_worker, initargs=(self._stop, memo),
+                initializer=_init_worker, initargs=(memo,),
             )
         return self._executor.submit(
             _task, problem, m, group, budget.limit - budget.nodes, budget.deadline)
 
     def close(self) -> None:
         if self._executor is not None:
-            self._stop.set()
             self._executor.shutdown(wait=True, cancel_futures=True)
 
 
@@ -484,7 +479,7 @@ def _run_level(
     infeasible).  The level is walked in process on `budget`; with a pool,
     past its quota the walk hands back its stack, a task per group, and so
     does each task, until no group is left."""
-    quota = None if pool is None else _QUOTA if memo else _FIRST_QUOTA
+    quota = None if pool is None else _QUOTA
     solutions, groups = _search(problem, m, None, quota, budget, memo)
     tasks = {pool.submit(problem, m, group, budget) for group in groups}
     while tasks:

@@ -673,7 +673,6 @@ def test_search_threads_flag_keeps_the_json(monkeypatch):
     # and quotas small enough that (9, 3, 2) hands its levels to it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(satgraph.search, "_QUOTA", 1_000)
-    monkeypatch.setattr(satgraph.search, "_FIRST_QUOTA", 1_000)
     monkeypatch.setattr(satgraph.search, "_WORKER_QUOTA", 500)
     tasks = []
     pool_submit = satgraph.search._Pool.submit

@@ -223,8 +223,8 @@ def test_greedy_complete_bytes_golden_beyond_r_plus_one():
 
 @st.composite
 def r_graphs(draw):
-    """(n, r, edge set) with r in 1..4, n <= 8; sparse, half or dense."""
-    r = draw(st.integers(min_value=1, max_value=4))
+    """(n, r, edge set) with r in 2..4, n <= 8; sparse, half or dense."""
+    r = draw(st.integers(min_value=2, max_value=4))
     n = draw(st.integers(min_value=0, max_value=8))
     sets = list(combinations(range(n), r))
     top = (1 << len(sets)) - 1

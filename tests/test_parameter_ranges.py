@@ -14,10 +14,12 @@ from satgraph.constructions import (
     clique_join_bipartite,
     complete_bipartite,
     ehm_extremal,
+    f_graph,
     semi_sat,
 )
-from satgraph.errors import DomainError
+from satgraph.errors import DomainError, ParseError
 from satgraph.graphs import Graph
+from satgraph.hypergraphs import Hypergraph, from_text
 from satgraph.hypersat import (
     CyclicPartition,
     bollobas_extremal,
@@ -73,7 +75,9 @@ CASES = [
     (clique_join_bipartite, (5, 2, 1), P2),
     (semi_sat, (5, 2, 1), P2),
     (complete_bipartite, (0, 4), T1),
+    (f_graph, (5, -1), T0),
     # hypergraph builders
+    (Hypergraph, (1, 3), R1),
     (CyclicPartition, (1, 1, 3), R1),
     (CyclicPartition, (2, 0, 3), T1),
     (sidorenko_base, (1, 1, 3), R1),
@@ -105,9 +109,16 @@ def test_out_of_range_parameter_has_one_message(fn, args, message):
     assert str(err.value) == message
 
 
+def test_hypergraph_text_of_uniformity_one_is_refused():
+    with pytest.raises(ParseError) as err:
+        from_text("1 3 1\n0\n")
+    assert str(err.value) == R1
+
+
 CLI_CASES = [
     (["construct", "ehm", "--n", "5", "--p", "2"], P2),
     (["construct", "semi-sat", "--n", "5", "--p", "2", "--t", "1"], P2),
+    (["construct", "f-graph", "--n", "5", "--t", "-1"], T0),
     (["verify", "--p", "2"], P2),
     (["verify", "--p", "3", "--t", "-1"], T0),
     (["certify", "--p", "3", "--t", "0"], T1),

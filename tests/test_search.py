@@ -4,7 +4,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations, permutations
@@ -553,10 +552,9 @@ def _without_time(result):
 def _small_quotas(monkeypatch, quota=1_000, worker_quota=500):
     """Let a small search reach the pool: every level is handed to it past
     `quota` nodes, and a task hands back the rest of its walk past
-    `worker_quota` (by default 2,048 nodes on the first level, 65,536 on
-    later ones, and 4,096 in a task)."""
+    `worker_quota` (by default 65,536 nodes on every level, and 4,096 in
+    a task)."""
     monkeypatch.setattr(satgraph.search, "_QUOTA", quota)
-    monkeypatch.setattr(satgraph.search, "_FIRST_QUOTA", quota)
     monkeypatch.setattr(satgraph.search, "_WORKER_QUOTA", worker_quota)
 
 
@@ -631,17 +629,26 @@ def test_handed_back_groups_finish_the_walk():
                 assert _walk_in_pieces(problem, m, quota) == whole, (problem, m, quota)
 
 
-def test_default_quotas_share_only_a_large_first_level(monkeypatch):
-    # (9, 3, 2) walks 269 nodes on its first level and at most 10,647 on a
-    # later one, whose prefixes the memo knows from the levels before: it
-    # starts no worker.  The one level of (10, 4, 5) semi, 38,884 nodes,
-    # goes to the pool once it passes 2,048.
+def test_default_quota_keeps_small_levels_in_process(monkeypatch):
+    # every level is walked in process up to 65,536 nodes, the first one
+    # too: (9, 3, 2) walks at most 10,647 nodes on a level, the one level
+    # of (10, 4, 5) semi 38,884, and (7, 4, 0) and (7, 4, 1) fewer still,
+    # so none of them starts a worker at two threads
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
     before = _CountingPool.submitted
-    assert exact_sat(SearchProblem(9, 3, 2), threads=2).value == 13
+    for solve, problem, value in [(exact_sat, SearchProblem(9, 3, 2), 13),
+                                  (exact_semi_sat, SearchProblem(10, 4, 5, mode="semi"), 25),
+                                  (exact_sat, SearchProblem(7, 4, 0), 11),
+                                  (exact_sat, SearchProblem(7, 4, 1), 11)]:
+        assert solve(problem, threads=2).value == value, problem
     assert _CountingPool.submitted == before
-    assert exact_semi_sat(SearchProblem(10, 4, 5, mode="semi"), threads=2).value == 25
+    # (10, 4, 4) semi walks 17,014 nodes on its first level and more than
+    # 65,536 on its second, which the pool then shares until the node
+    # budget runs out
+    r = exact_semi_sat(SearchProblem(10, 4, 4, mode="semi", node_budget=90_000), threads=2)
+    assert r.status == "resource-limit" and r.nodes > 90_000
     assert _CountingPool.submitted > before
+    assert multiprocessing.active_children() == []
 
 
 def _count_labellings(monkeypatch) -> list:
@@ -789,7 +796,6 @@ def test_default_workers_are_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     # what the stand-in's initializer sets in this process
-    monkeypatch.setattr(satgraph.search, "_worker_stop", None)
     monkeypatch.setattr(satgraph.search, "_worker_memo", None)
     serial = _without_time(exact_sat(SearchProblem(9, 3, 2), threads=1))
     for cpus, threads, sizes in [({0}, None, []), ({0, 1, 2}, None, [3]), ({0}, 2, [2])]:
@@ -865,14 +871,9 @@ def test_worker_task_stops_at_its_first_node(monkeypatch):
     budget = search._Budget(10**9, time.monotonic() + 60)
     group = pickle.dumps(search._search(problem, m, None, 500, budget, {})[1][0])
     monkeypatch.setattr(search, "_worker_memo", {})
-    flag = threading.Event()
-    monkeypatch.setattr(search, "_worker_stop", flag)
     found, nodes, _ = search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() + 60)
     assert found is not None and nodes > 1
     assert search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() - 1)[:2] == (
-        None, 1)
-    flag.set()
-    assert search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() + 60)[:2] == (
         None, 1)
 
 
