@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -152,6 +151,8 @@ def _cmd_verify(a) -> int:
         # about four chunks per worker: one task per line costs more in
         # pickling and queueing than a small line takes to check
         chunk = -(-len(rest) // (4 * workers))
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results += pool.map(_verify_line, rest, chunksize=chunk)
     else:

@@ -258,7 +258,7 @@ def certify(g: Graph, p: int, t: int, r0: Optional[Iterable[int]] = None) -> Cer
         raise VerificationError(f"minimum degree {g.min_degree()} below t={t}")
     if not is_saturated(g, p):
         raise VerificationError("input graph is not saturated")
-    seed = tuple(sorted(r0)) if r0 is not None else (0,)
+    seed = tuple(sorted(set(r0))) if r0 is not None else (0,)
     state = make_state(g, t, seed)
     steps: list[StepRecord] = []
     limit = 2 * t * t

@@ -98,19 +98,20 @@ fixed tree, whatever the worker count.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError, _check_p
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
 from .verify import ehm_bound, is_saturated, is_semi_saturated
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "MODES",
@@ -456,6 +457,9 @@ class _Pool:
     def submit(self, problem: SearchProblem, m: int, group: list, budget: _Budget) -> Future:
         """`_task` on one group, with the nodes and time left to `budget`."""
         if self._executor is None:
+            import multiprocessing  # the pool's modules load at the first hand-back
+            from concurrent.futures import ProcessPoolExecutor
+
             # the platform's default start method: forking a worker costs
             # about 10 ms, spawning one that imports the package about 300 ms
             context = multiprocessing.get_context()
@@ -482,6 +486,8 @@ def _run_level(
     quota = None if pool is None else _QUOTA
     solutions, groups = _search(problem, m, None, quota, budget, memo)
     tasks = {pool.submit(problem, m, group, budget) for group in groups}
+    if tasks:
+        from concurrent.futures import FIRST_COMPLETED, wait
     while tasks:
         done, tasks = wait(tasks, return_when=FIRST_COMPLETED)
         for future in done:

@@ -17,7 +17,6 @@ names at the time, so an evaluator replaced after import is still called.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from functools import cached_property
@@ -297,6 +296,8 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
         h = subject
         _check_p(p, r=h.r)
         n, edges, semi, kind = h.n, h.edge_count(), None, "r_clique"
+        import hashlib  # only here: it loads OpenSSL, a few MB that no graph needs
+
         sha = hashlib.sha256(to_text(h).encode()).hexdigest()[:16]
         name = f"hg:r{h.r}:n{n}:m{edges}:{sha}"
         delta = h.min_codegree(h.r - 1) if n >= h.r - 1 >= 1 else 0

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -244,6 +245,13 @@ def test_certify_seed_spellings(tmp_path):
                        stdin="Dhc\n")
     assert code == 2
     assert json.loads(err)["error"] == "domain"
+
+
+def test_certify_seed_is_a_set():
+    # R0 is a set of vertices, so a repeated one names the same seed
+    once = run(["certify", "--p", "3", "--t", "2", "--r0", "0"], stdin="Dhc\n")
+    assert run(["certify", "--p", "3", "--t", "2", "--r0", "0,0"], stdin="Dhc\n") == once
+    assert once[0] == 0 and json.loads(once[1])["r0"] == [0]
 
 
 def test_certify_rejects_unsaturated_input():
@@ -628,7 +636,7 @@ class _RecordingPool:
 def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
     # a fork-started pool starts every worker at its first task, so an
     # uncapped `--threads 5000` would start 5,000 processes for two lines
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(cli, "_VERIFY_QUOTA", 0)
@@ -649,7 +657,7 @@ def test_threads_are_capped_at_tasks_and_cpus(monkeypatch):
 
 
 def test_short_verify_stream_stays_in_process(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     stdin = "Dhc\nD??\n" * 30
@@ -688,3 +696,29 @@ def test_search_threads_flag_keeps_the_json(monkeypatch):
     assert sum(tasks) > 0  # the 2-thread run shared its levels
     assert outs[0] == outs[1]
     assert outs[0]["value"] == 13 and outs[0]["witness_graph6"] == "H???Nv{"
+
+
+def test_calls_without_a_pool_load_no_pool_or_hashlib_module():
+    # in a fresh interpreter without site hooks, so that nothing else
+    # loads these first: a call that starts no pool and names no
+    # hypergraph imports neither the pool's modules nor OpenSSL's
+    code = (
+        "import contextlib, io, sys\n"
+        "from satgraph import cli\n"
+        "calls = [(['search', '--n', '7', '--p', '3', '--t', '2'], ''),\n"
+        "         (['verify', '--p', '3', '--t', '2'], 'Dhc\\nD??\\n' * 20),\n"
+        "         (['certify', '--p', '3', '--t', '2'], 'Dhc\\n'),\n"
+        "         (['hyper', 'saturated', '--r', '3', '--p', '5', '--t', '2', '--n', '8'], '')]\n"
+        "for argv, stdin in calls:\n"
+        "    sys.stdin = io.StringIO(stdin)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(argv[0], cli.main(argv), file=sys.stderr)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process', 'hashlib',\n"
+        "              '_hashlib'} & set(sys.modules)))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split() == ["search", "0", "verify", "1", "certify", "0", "hyper", "0"]
+    assert out.stdout == "[]\n"

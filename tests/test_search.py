@@ -1,6 +1,7 @@
 """Tests for the exact minimum-edge search over saturated graphs."""
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -573,7 +574,7 @@ POOL_CASES = [(enumerate_extremal, SearchProblem(9, 3, 2), 21_998),
 
 
 def _check_worker_count(monkeypatch):
-    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     for solve, problem, nodes in POOL_CASES:
         serial = solve(problem, threads=1)
         before = _CountingPool.submitted
@@ -634,7 +635,7 @@ def test_default_quota_keeps_small_levels_in_process(monkeypatch):
     # too: (9, 3, 2) walks at most 10,647 nodes on a level, the one level
     # of (10, 4, 5) semi 38,884, and (7, 4, 0) and (7, 4, 1) fewer still,
     # so none of them starts a worker at two threads
-    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     before = _CountingPool.submitted
     for solve, problem, value in [(exact_sat, SearchProblem(9, 3, 2), 13),
                                   (exact_semi_sat, SearchProblem(10, 4, 5, mode="semi"), 25),
@@ -763,7 +764,7 @@ def test_memo_lives_for_one_search(monkeypatch):
     assert counts == [150, 150]
     # with small quotas, (9, 3, 2) shares its levels with the pool
     _small_quotas(monkeypatch)
-    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     before = _CountingPool.submitted
     assert exact_sat(SearchProblem(9, 3, 2), threads=2).value == 13
     assert _CountingPool.submitted > before
@@ -793,7 +794,7 @@ def test_default_workers_are_the_usable_cpus(monkeypatch):
     # a library call, like the CLI, starts no more workers than the CPUs
     # this process may run on; an explicit count is taken as given
     _small_quotas(monkeypatch)
-    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     # what the stand-in's initializer sets in this process
     monkeypatch.setattr(satgraph.search, "_worker_memo", None)
@@ -817,7 +818,7 @@ def test_node_budget_stops_the_pool(monkeypatch):
     # most 500 nodes that are given the nodes left when submitted: at 4,400
     # and at 6,000 the sum of the second level's tasks runs out
     _small_quotas(monkeypatch)
-    monkeypatch.setattr(satgraph.search, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     for budget in (4_400, 6_000):
         for threads in (1, 2):
             before = _CountingPool.submitted

@@ -191,7 +191,7 @@ def test_check_bounds_false_flags_carry_witnesses():
 def test_check_bounds_on_hypergraph():
     rep = check_bounds(bollobas_extremal(8, 3, 5), 5)
     out = rep.to_json()
-    assert out["subject"].startswith("hg:r3:n8:m36:")
+    assert out["subject"] == "hg:r3:n8:m36:fd033fc2fec4f746"
     assert out["saturated"]
     assert out["edges"] == 36
     assert out["bounds"] == [
