@@ -13,11 +13,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import constructions as cons
-from .closure import certify as certify_run
 from .errors import (
     DomainError,
     FatalInconsistencyError,
@@ -28,13 +25,6 @@ from .errors import (
     _need,
 )
 from .graph6 import decode, encode
-from .hypergraphs import to_text
-from .hypersat import (
-    bollobas_extremal,
-    greedy_complete,
-    saturated_hypergraph,
-    sidorenko_base,
-)
 from .search import (
     SearchProblem,
     _usable_cpus,
@@ -52,7 +42,45 @@ from .verify import (
     semi_sat_upper_bound,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import constructions as cons
+    from .closure import certify as certify_run
+    from .hypergraphs import to_text
+    from .hypersat import bollobas_extremal, greedy_complete, saturated_hypergraph, sidorenko_base
+
 __all__ = ["main"]
+
+# what only `construct`, `certify` and `hyper` call, so that no other
+# command loads its module: name -> (module, attribute, or None for the
+# module itself)
+_DEFERRED = {
+    "cons": (".constructions", None),
+    "certify_run": (".closure", "certify"),
+    "to_text": (".hypergraphs", "to_text"),
+    **{name: (".hypersat", name) for name in
+       ("bollobas_extremal", "greedy_complete", "saturated_hypergraph", "sidorenko_base")},
+}
+
+
+def _load(*names: str) -> None:
+    """Import and bind here each of `names` not bound yet.  The commands
+    then call the names as bound, so a wrapper set after import applies."""
+    import importlib
+
+    for name in names:
+        if name not in globals():
+            module, attr = _DEFERRED[name]
+            value = importlib.import_module(module, __package__)
+            globals()[name] = value if attr is None else getattr(value, attr)
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(name)
+    return globals()[name]
 
 
 class _UsageError(Exception):
@@ -106,6 +134,7 @@ _CONSTRUCTIONS = {
 
 
 def _cmd_construct(a) -> int:
+    _load("cons")
     g, layout = _build(a, a.name, *_CONSTRUCTIONS[a.name]), None
     if isinstance(g, tuple):  # split-family returns its layout too
         g, layout = g
@@ -176,6 +205,7 @@ def _cmd_certify(a) -> int:
     _need("t", a.t, 1)
     _check_p(a.p)
     seed = _parse_seed(a.r0, a.t)
+    _load("certify_run")
     for line in _read_lines(a.input):
         cert = certify_run(decode(line), a.p, a.t, seed)
         print(json.dumps(cert.to_json()))
@@ -247,6 +277,8 @@ _HYPER = {
 
 
 def _cmd_hyper(a) -> int:
+    _load("bollobas_extremal", "greedy_complete", "saturated_hypergraph", "sidorenko_base",
+          "to_text")
     h, meta = _build(a, f"hyper {a.kind}", *_HYPER[a.kind])
     sys.stdout.write(to_text(h))
     if a.json:

@@ -64,8 +64,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def _need(name: str, value: Optional[int], least: int) -> None:
-    """Refuse a degree t or uniformity r below `least`; None (no degree
-    given) passes."""
+    """Refuse a vertex count n, degree t or uniformity r below `least`;
+    None (no degree given) passes."""
     if value is not None and value < least:
         raise DomainError(f"need {name} >= {least}, got {value}")
 

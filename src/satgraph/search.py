@@ -100,9 +100,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from math import comb, isfinite
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError, _check_p
@@ -125,12 +124,9 @@ __all__ = [
 MODES = ("sat", "sat-exact", "semi")
 
 
-@dataclass(frozen=True)
-class SearchProblem:
-    """What to minimize: edges of an n-vertex graph that is saturated with
-    min degree >= t ("sat"), saturated with min degree exactly t
-    ("sat-exact"), or semi-saturated with min degree >= t ("semi")."""
-
+# the fields of SearchProblem, which checks them: a NamedTuple itself
+# cannot define __new__
+class _ProblemFields(NamedTuple):
     n: int
     p: int
     t: int
@@ -141,7 +137,16 @@ class SearchProblem:
     iso_reject: bool = True
     max_n: int = 10
 
-    def __post_init__(self):
+
+class SearchProblem(_ProblemFields):
+    """What to minimize: edges of an n-vertex graph that is saturated with
+    min degree >= t ("sat"), saturated with min degree exactly t
+    ("sat-exact"), or semi-saturated with min degree >= t ("semi")."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
         _check_p(self.p, self.t)
@@ -157,6 +162,7 @@ class SearchProblem:
             raise DomainError("edge budget must be non-negative")
         if self.max_n < 1:
             raise DomainError("max_n must be positive")
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -166,8 +172,7 @@ class SearchProblem:
         }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     problem: SearchProblem
     status: str
     value: Optional[int]

@@ -18,15 +18,18 @@ names at the time, so an evaluator replaced after import is still called.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, FatalInconsistencyError, _check_p, _need
 from .graph6 import encode
 from .graphs import Graph, find_clique
-from .hypergraphs import Hypergraph, creates_complete, find_r_clique, to_text
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .hypergraphs import Hypergraph
 
 __all__ = [
     "is_kp_free",
@@ -126,6 +129,8 @@ def has_conical_vertex(g: Graph) -> bool:
 def non_saturating_r_set(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
     """Lexicographically least absent r-set whose addition creates no
     complete p-set."""
+    from .hypergraphs import creates_complete  # hypergraph helpers load on hypergraph paths only
+
     _check_p(p, r=h.r)
     links = h.links()
     for cand in h.non_edges():
@@ -136,6 +141,8 @@ def non_saturating_r_set(h: Hypergraph, p: int) -> Optional[tuple[int, ...]]:
 
 def is_r_saturated(h: Hypergraph, p: int) -> bool:
     """True iff h has no complete p-set and every added r-set creates one."""
+    from .hypergraphs import find_r_clique
+
     _check_p(p, r=h.r)
     return find_r_clique(h, p) is None and non_saturating_r_set(h, p) is None
 
@@ -145,6 +152,7 @@ def is_r_saturated(h: Hypergraph, p: int) -> bool:
 def ehm_bound(n: int, p: int) -> int:
     """Minimum edges of a K_p-saturated graph: n(p-2) - C(p-1,2)."""
     _check_p(p)
+    _need("n", n, 0)
     return n * (p - 2) - comb(p - 1, 2)
 
 
@@ -152,6 +160,9 @@ def dh_semi_bound(n: int, delta: int, p: int) -> Fraction:
     """(n-delta-1)(delta+p-2)/2 + delta - C(p-2,2): a lower bound for
     K_p-saturated and K_p-semi-saturated graphs with minimum degree delta."""
     _check_p(p, delta)
+    _need("n", n, 0)
+    from fractions import Fraction  # loaded only where a bound value is built
+
     return Fraction((n - delta - 1) * (delta + p - 2) + 2 * (delta - comb(p - 2, 2)), 2)
 
 
@@ -182,6 +193,7 @@ def closure_tower_bound(n: int, p: int, t: int) -> int:
     """tn - t(t+1)^(t^(2t^2)): the fully quantitative closure bound on the
     minimum edges of a K_p-saturated graph with minimum degree >= t."""
     _check_p(p)
+    _need("n", n, 0)
     return t * n - closure_tower_term(t)
 
 
@@ -193,6 +205,7 @@ def semi_sat_upper_bound(n: int, p: int, t: int) -> int:
     edges of `semi_sat(n, p, s)`, whose minimum degree s >= t, so an upper
     bound on the same minimum (at s = p-2 it is `ehm_bound(n, p)`)."""
     _check_p(p, t)
+    _need("n", n, 0)
     tq = max(t, p - 2) + p - 2
     return -((-tq * (n - (p - 2))) // 2) + comb(p - 2, 2)
 
@@ -201,6 +214,7 @@ def bollobas_bound(n: int, r: int, p: int) -> int:
     """C(n,r) - C(n-p+r,r): minimum edges of a K_p^r-saturated r-graph."""
     _need("r", r, 2)
     _check_p(p, r=r)
+    _need("n", n, 0)
     return comb(n, r) - comb(max(n - p + r, 0), r)
 
 
@@ -268,6 +282,8 @@ def _graph_row(n: int, p: int, t: Optional[int], delta: int) -> tuple:
     key = (n, p, t, delta, ehm_bound, dh_semi_bound, dh_mixed_bound, closure_tower_bound)
     row = _ROWS.get(key)
     if row is None:
+        from fractions import Fraction
+
         values = [("ehm", Fraction(ehm_bound(n, p))), ("dh_semi", dh_semi_bound(n, delta, p))]
         if t is not None and delta >= t:
             # these bounds presuppose min degree >= t
@@ -292,11 +308,14 @@ def check_bounds(subject: Union[Graph, Hypergraph], p: int, t: Optional[int] = N
     Those in `_SEMI_BOUNDS` hold on a semi-saturated graph too.
     """
     _need("t", t, 0)
-    if isinstance(subject, Hypergraph):
+    if not isinstance(subject, Graph):  # a Hypergraph
         h = subject
         _check_p(p, r=h.r)
         n, edges, semi, kind = h.n, h.edge_count(), None, "r_clique"
         import hashlib  # only here: it loads OpenSSL, a few MB that no graph needs
+        from fractions import Fraction
+
+        from .hypergraphs import find_r_clique, to_text
 
         sha = hashlib.sha256(to_text(h).encode()).hexdigest()[:16]
         name = f"hg:r{h.r}:n{n}:m{edges}:{sha}"

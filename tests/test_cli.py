@@ -701,10 +701,16 @@ def test_search_threads_flag_keeps_the_json(monkeypatch):
 def test_calls_without_a_pool_load_no_pool_or_hashlib_module():
     # in a fresh interpreter without site hooks, so that nothing else
     # loads these first: a call that starts no pool and names no
-    # hypergraph imports neither the pool's modules nor OpenSSL's
+    # hypergraph imports neither the pool's modules nor OpenSSL's; the
+    # CLI loads only the modules of `search` and `verify`, whose calls
+    # then load no other package module
     code = (
         "import contextlib, io, sys\n"
         "from satgraph import cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('satgraph.')\n"
+        "                  or m in ('dataclasses', 'fractions'))\n"
+        "print('import', *loaded())\n"
         "calls = [(['search', '--n', '7', '--p', '3', '--t', '2'], ''),\n"
         "         (['verify', '--p', '3', '--t', '2'], 'Dhc\\nD??\\n' * 20),\n"
         "         (['certify', '--p', '3', '--t', '2'], 'Dhc\\n'),\n"
@@ -713,6 +719,7 @@ def test_calls_without_a_pool_load_no_pool_or_hashlib_module():
         "    sys.stdin = io.StringIO(stdin)\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        print(argv[0], cli.main(argv), file=sys.stderr)\n"
+        "    print(argv[0], *(m for m in loaded() if m.startswith('satgraph.')))\n"
         "print(sorted({'multiprocessing', 'concurrent.futures.process', 'hashlib',\n"
         "              '_hashlib'} & set(sys.modules)))\n"
     )
@@ -721,4 +728,15 @@ def test_calls_without_a_pool_load_no_pool_or_hashlib_module():
                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stderr.split() == ["search", "0", "verify", "1", "certify", "0", "hyper", "0"]
-    assert out.stdout == "[]\n"
+    used = ["satgraph.canon", "satgraph.cli", "satgraph.errors", "satgraph.graph6",
+            "satgraph.graphs", "satgraph.search", "satgraph.verify"]
+
+    def loaded(after, *more):
+        return " ".join([after, *sorted(used + list(more))])
+
+    assert out.stdout.splitlines() == [
+        loaded("import"), loaded("search"), loaded("verify"),
+        loaded("certify", "satgraph.closure"),
+        loaded("hyper", "satgraph.closure", "satgraph.hypergraphs", "satgraph.hypersat"),
+        "[]",
+    ]

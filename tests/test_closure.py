@@ -390,7 +390,7 @@ def test_closure_refuses_negative_seed_as_out_of_range():
 
 
 def test_state_holds_masks_and_computes_its_bad_set_once(monkeypatch):
-    engine = importlib.import_module("satgraph.closure")  # the package re-exports `closure`
+    engine = importlib.import_module("satgraph.closure")
     state = make_state(complete_bipartite(2, 6), 3, [0])
     assert (state.r_mask, state.rbar_mask, state.y_mask) == (0b1, 0b1, 0b111110)
     assert [f.name for f in fields(state)] == ["graph", "t", "r_mask", "rbar_mask", "y_mask"]

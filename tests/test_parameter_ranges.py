@@ -1,7 +1,8 @@
 """Every entry point that takes a clique order p, a degree t or a
 uniformity r refuses an out-of-range value with the one message of its
 condition: p >= 3 (p >= r + 1 for an r-graph), t >= 0 (t >= 1 for the
-closure engine and the codegree construction) and r >= 2."""
+closure engine and the codegree construction) and r >= 2.  The bound
+evaluators also refuse a vertex count n < 0."""
 from __future__ import annotations
 
 import json
@@ -50,6 +51,7 @@ T0 = "need t >= 0, got -1"
 T1 = "need t >= 1, got 0"
 R1 = "need r >= 2, got 1"
 R3P3 = "clique order must be >= r+1 = 4, got 3"
+N0 = "need n >= 0, got -5"
 
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 H3 = bollobas_extremal(6, 3, 4)  # a 3-graph
@@ -64,6 +66,13 @@ CASES = [
     (semi_sat_upper_bound, (5, 3, -1), T0),
     (bollobas_bound, (5, 1, 3), R1),
     (bollobas_bound, (5, 3, 3), R3P3),
+    (ehm_bound, (-5, 3), N0),
+    (dh_semi_bound, (-5, 1, 3), N0),
+    (dh_mixed_bound, (-5, 3, 1), N0),
+    (closure_tower_bound, (-5, 3, 1), N0),
+    (semi_sat_lower_bound, (-5, 3, 1), N0),
+    (semi_sat_upper_bound, (-5, 3, 1), N0),
+    (bollobas_bound, (-5, 2, 3), N0),
     (check_bounds, (C5, 2), P2),
     (check_bounds, (C5, 3, -1), T0),
     (check_bounds, (H3, 3), R3P3),
@@ -134,6 +143,8 @@ CLI_CASES = [
     (["bounds", "--n", "5", "--p", "3", "--t", "-1"], T0),
     (["bounds", "--n", "5", "--p", "3", "--r", "1"], R1),
     (["bounds", "--n", "5", "--p", "3", "--r", "3"], R3P3),
+    (["bounds", "--n", "-5", "--p", "3", "--r", "2"], N0),
+    (["bounds", "--n", "-5", "--p", "3", "--t", "1"], N0),
 ]
 
 

@@ -206,6 +206,48 @@ def test_problem_validation():
         exact_sat(SearchProblem(6, 2, 1))
 
 
+def test_problem_and_result_contract():
+    # the values, equality, hash, immutability, pickling and refusals the
+    # CLI and the worker pool rely on, whatever the classes are built from
+    problem = SearchProblem(7, 3, 2)
+    assert problem == SearchProblem(n=7, p=3, t=2) == SearchProblem(
+        7, 3, 2, "sat", None, 10**9, 600.0, True, 10)
+    assert problem != SearchProblem(7, 3, 3)
+    assert (problem.mode, problem.edge_budget, problem.node_budget, problem.time_budget,
+            problem.iso_reject, problem.max_n) == ("sat", None, 10**9, 600.0, True, 10)
+    assert repr(problem) == (
+        "SearchProblem(n=7, p=3, t=2, mode='sat', edge_budget=None, node_budget=1000000000, "
+        "time_budget=600.0, iso_reject=True, max_n=10)")
+    assert hash(problem) == hash(SearchProblem(n=7, p=3, t=2)) == hash(
+        (7, 3, 2, "sat", None, 10**9, 600.0, True, 10))
+    result = exact_sat(SearchProblem(5, 3, 2, node_budget=50))
+    assert repr(result) == (
+        "SearchResult(problem=SearchProblem(n=5, p=3, t=2, mode='sat', edge_budget=None, "
+        "node_budget=50, time_budget=600.0, iso_reject=True, max_n=10), status='ok', value=5, "
+        f"witness={result.witness!r}, witness_graph6='DLo', nodes={result.nodes}, "
+        f"wall_ms={result.wall_ms}, extremal=None)")
+    for obj, field in ((problem, "n"), (problem, "mode"), (result, "value")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert type(pickle.loads(pickle.dumps(obj))) is type(obj)
+    refusals = [
+        ({"n": 0}, "need n >= 1, got 0"),
+        ({"p": 2}, "clique order must be >= 3, got 2"),
+        ({"t": -1}, "need t >= 0, got -1"),
+        ({"mode": "nope"}, "unknown mode 'nope'; choose from ('sat', 'sat-exact', 'semi')"),
+        ({"node_budget": 0}, "node budget must be positive"),
+        ({"time_budget": 0.0}, "time budget must be positive"),
+        ({"time_budget": float("inf")}, "time budget must be finite, got inf"),
+        ({"edge_budget": -1}, "edge budget must be non-negative"),
+        ({"max_n": 0}, "max_n must be positive"),
+    ]
+    for change, message in refusals:
+        with pytest.raises(DomainError) as err:
+            SearchProblem(**{"n": 7, "p": 3, "t": 2, **change})
+        assert str(err.value) == message
+
+
 def test_time_budget_must_be_finite():
     for budget in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="time budget must be finite"):
