@@ -65,29 +65,29 @@ removes the children that are equivalent under P's automorphisms, which
 the orbit test lets through.
 
 The orbit test runs in three stages, each on the prefixes the one before
-keeps: reject the prefix if some vertex has a higher degree than k-1,
-else if k-1 is not in the last cell of its refined unit partition (the
-root partition), else unless the labelling, started from that partition,
-puts last a vertex of k-1's orbit.  The first two stages reject only
-what the third would: every leaf order of the labelling refines the root
-partition (see `canon`), so its last vertex lies in the root's last cell;
-refinement does not depend on labels, so every automorphism maps each
-root cell onto itself, and the orbit of a vertex outside the last cell
-misses that vertex; the first round of refinement orders vertices by
-ascending degree, so the last cell lies inside the class of maximum
-degree.
+keeps: reject the prefix if some vertex has a higher degree than k-1
+(tested first, before the owing set), else if k-1 is not in the last
+cell of its refined unit partition (the root partition), else unless
+the labelling, started from that partition, puts last a vertex of k-1's
+orbit.  The first two stages reject only what the third would: every
+leaf order of the labelling refines the root partition (see `canon`),
+so its last vertex lies in the root's last cell; refinement does not
+depend on labels, so every automorphism maps each root cell onto
+itself, and the orbit of a vertex outside the last cell misses that
+vertex; the first round of refinement orders vertices by ascending
+degree, so the last cell lies inside the class of maximum degree.
 
 The verdict of these three stages depends on the labelled prefix graph
 alone, not on m, the need, t, p or the mode, and iterative deepening
 walks the same prefixes again at every level.  So each search keeps a
-memo from a prefix (its lower-triangle adjacency bits under a leading 1,
-which fixes k) to its canonical form if it passes the three stages, else
-None.  A hit gives the decision a labelling would, so node counts,
-values, witnesses and extremal lists are those without the memo.  The
-sibling test depends on the parent and is made on every visit.  The
-memo stops growing at `_MEMO_CAP` entries (a few MB) and is dropped when
-the search returns; each worker process keeps one for all its tasks,
-started from the search's when the worker is forked, empty otherwise.
+memo from a prefix that passes the degree stage (its lower-triangle
+adjacency bits under a leading 1, which fixes k) to its canonical form
+if it passes the other two, else None.  A hit gives the decision a
+labelling would, so node counts, values, witnesses and extremal lists
+are those without the memo.  The sibling test depends on the parent and
+is made on every visit.  The memo stops growing at `_MEMO_CAP` entries
+(a few MB) and is dropped when the search returns; each worker process
+keeps one for all its tasks (see `_Pool`).
 
 Each level is walked in process.  With a worker pool, a walk past its
 node quota, the same on every level, hands the rest of its stack to the
@@ -163,6 +163,10 @@ class SearchProblem(_ProblemFields):
         if self.max_n < 1:
             raise DomainError("max_n must be positive")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {
@@ -254,7 +258,7 @@ def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
 
 
 # Canonical-deletion verdicts one search keeps, at most; past this the
-# memo stops growing (the 10-vertex semi proof meets 302,787 prefixes).
+# memo stops growing (the 10-vertex semi proof keeps 17,817).
 _MEMO_CAP = 1 << 16
 _UNSEEN = object()
 
@@ -262,7 +266,7 @@ _UNSEEN = object()
 def _verdict(prefix: list[int]) -> Optional[int]:
     """The canonical form of the prefix graph (adjacency masks) if the
     canonical labelling puts its last vertex, or one in that vertex's
-    orbit, last; else None.  Depends on the labelled graph alone."""
+    orbit, last; else None."""
     k = len(prefix)
     cells = _root_cells(prefix, k - 1)
     if cells is None:
@@ -366,6 +370,9 @@ def _search(
             if left < r or held > r or later - inner > r or held + later > 2 * r:
                 continue
             if opens:
+                # the degree stage first
+                if iso and k >= 3 and max(deg[:k]) > deg[k - 1]:
+                    continue
                 fresh = _owed(adj, deg, k, t, p)
                 held += fresh.bit_count() - owed.bit_count()
                 owed = fresh

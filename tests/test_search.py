@@ -248,6 +248,20 @@ def test_problem_and_result_contract():
         assert str(err.value) == message
 
 
+def test_problem_replace_runs_the_checks():
+    # _replace builds through _make, which builds through the constructor
+    problem = SearchProblem(7, 3, 2)
+    with pytest.raises(DomainError, match="^need n >= 1, got 0$"):
+        problem._replace(n=0)
+    with pytest.raises(DomainError, match="unknown mode 'x'"):
+        problem._replace(mode="x")
+    with pytest.raises(DomainError, match="^need n >= 1, got 0$"):
+        SearchProblem._make((0, 3, 2))
+    replaced = problem._replace(t=3)
+    assert replaced == SearchProblem(7, 3, 3) and type(replaced) is SearchProblem
+    assert pickle.loads(pickle.dumps(replaced)) == replaced
+
+
 def test_time_budget_must_be_finite():
     for budget in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="time budget must be finite"):
@@ -299,7 +313,7 @@ def test_semi_ten_vertex_budgeted_run_never_reports_a_wrong_value():
 
 @pytest.mark.skipif(
     not os.environ.get("SATGRAPH_LONG_TESTS"),
-    reason="exhaustive 3.45M-node run, about 6 s on 2 workers; set SATGRAPH_LONG_TESTS=1",
+    reason="exhaustive 3.45M-node run, about 5 s on 2 workers; set SATGRAPH_LONG_TESTS=1",
 )
 def test_semi_ten_vertex_exact_value():
     problem = SearchProblem(
@@ -308,6 +322,7 @@ def test_semi_ten_vertex_exact_value():
     r = exact_semi_sat(problem)
     assert r.value == 21
     assert r.witness_graph6 == "I?CaCB~~w"
+    assert r.nodes == 3_447_324
 
 
 def test_ten_vertex_semi_witness_golden_is_valid():
@@ -694,15 +709,11 @@ def test_default_quota_keeps_small_levels_in_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _count_labellings(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of each call to `satgraph.search.<name>`."""
     calls = []
-    labelling = satgraph.search._labelling
-
-    def counted(*args):
-        calls.append(args[0])
-        return labelling(*args)
-
-    monkeypatch.setattr(satgraph.search, "_labelling", counted)
+    fn = getattr(satgraph.search, name)
+    monkeypatch.setattr(satgraph.search, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -714,7 +725,7 @@ def test_prefix_labelling_counts(monkeypatch):
     # 3,879 and 2,341 without the two stages either); a completed graph
     # with no debt is labelled the same way, as the boundary k = n; the
     # node counts, 31,114 and 21,998 above, do not move
-    calls = _count_labellings(monkeypatch)
+    calls = _count_calls(monkeypatch, "_labelling")
     for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 150),
                                   (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 410),
                                   (exact_sat, SearchProblem(9, 3, 2), 414)]:
@@ -726,15 +737,30 @@ def test_prefix_labelling_counts(monkeypatch):
 def test_clique_search_counts(monkeypatch):
     # the clique refusal and the debt rule answer p = 3 and p = 4 by mask
     # tests; only p >= 5 runs the generic clique search, at the boundary
-    # k = n of a completed graph too
-    calls = []
-    find = satgraph.search.find_clique_in_mask
-    monkeypatch.setattr(satgraph.search, "find_clique_in_mask",
-                        lambda *args: calls.append(args) or find(*args))
-    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 23_245)]:
+    # k = n of a completed graph too, and only on the prefixes that pass
+    # the degree stage (23,245 calls if the owing set came first)
+    calls = _count_calls(monkeypatch, "find_clique_in_mask")
+    for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 11_488)]:
         calls.clear()
         exact_sat(problem, threads=1)
         assert len(calls) == count, problem
+
+
+def test_boundary_work_counts(monkeypatch):
+    # a column boundary rejects a prefix on degree before it computes the
+    # owing set or asks for a verdict (6,447 and 9,508 owing sets, 1,203
+    # and 4,075 verdicts if it asked first); labellings and nodes do not
+    # depend on that order
+    owed = _count_calls(monkeypatch, "_owed")
+    verdicts = _count_calls(monkeypatch, "_verdict")
+    labellings = _count_calls(monkeypatch, "_labelling")
+    for solve, problem, counts in [
+            (exact_sat, SearchProblem(9, 3, 2), (2_608, 483, 414, 21_998)),
+            (exact_semi_sat, SearchProblem(10, 4, 5, mode="semi"), (2_923, 1_257, 791, 38_884))]:
+        for calls in (owed, verdicts, labellings):
+            calls.clear()
+        nodes = solve(problem, threads=1).nodes
+        assert (len(owed), len(verdicts), len(labellings), nodes) == counts, problem
 
 
 def _memo_results(cases):
@@ -770,7 +796,9 @@ def test_memo_changes_no_result(monkeypatch):
 
 def test_memo_keys_are_the_prefix_bits(monkeypatch):
     """Each memo key is the prefix's lower-triangle adjacency bits, row by
-    row, under a leading 1, and its value the verdict of that prefix."""
+    row, under a leading 1, and its value the verdict of that prefix.  The
+    memo holds only the prefixes that pass the degree stage (411 and 1,890
+    if it held the degree rejects too)."""
     judged = {}
     verdict = satgraph.search._verdict
 
@@ -783,17 +811,18 @@ def test_memo_keys_are_the_prefix_bits(monkeypatch):
 
     monkeypatch.setattr(satgraph.search, "_verdict", recorded)
     memos = _record_memos(monkeypatch)
-    for problem in (SearchProblem(8, 3, 2), SearchProblem(8, 4, 3, mode="semi")):
+    for problem, size in ((SearchProblem(8, 3, 2), 165),
+                          (SearchProblem(8, 4, 3, mode="semi"), 540)):
         judged.clear()
         (exact_semi_sat if problem.mode == "semi" else exact_sat)(problem, threads=1)
-        assert memos[-1][0] == judged and len(judged) > 200
+        assert memos[-1][0] == judged and len(judged) == size
 
 
 def test_memo_lives_for_one_search(monkeypatch):
     """Each search starts with an empty memo of its own, so a repeated
     search labels as many prefixes as the first; none is left in the
     module."""
-    calls = _count_labellings(monkeypatch)
+    calls = _count_calls(monkeypatch, "_labelling")
     memos = _record_memos(monkeypatch)
     counts = []
     for _ in range(2):
