@@ -33,7 +33,13 @@ place, and a branch replaces its target cell by [v] and the rest, so the
 order of every leaf refines the root partition (the refined unit
 partition): the vertices of each root cell stay together, in the root's
 order of cells.  So the labeling puts last a vertex of the root's last
-cell, which `_root_cells` tests before any branching.
+cell.  Refinement does not depend on labels, so every automorphism maps
+each root cell onto itself: the orbit of a vertex outside the last cell
+misses that cell, and with it the labeling's last vertex.  `_verdict`
+thus rejects such a vertex before any branching, and else labels from
+the root partition.  The first round of refinement orders the vertices
+by ascending degree, so the last cell lies inside the class of maximum
+degree.
 """
 from __future__ import annotations
 
@@ -110,18 +116,6 @@ def _pack(n: int, adj: Sequence[int], pos: Sequence[int]) -> int:
     return val
 
 
-def _root_cells(adj: Sequence[int], last: int) -> Optional[list[list[int]]]:
-    """The root partition of the graph given by adjacency masks, or None
-    when vertex `last` cannot be the one the canonical labeling puts last
-    or an automorphic image of it: when some vertex has a higher degree,
-    or `last` lies outside the root's last cell."""
-    n = len(adj)
-    if max(map(int.bit_count, adj)) > adj[last].bit_count():
-        return None
-    cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
-    return cells if last in cells[-1] else None
-
-
 def _labelling(
     n: int, adj: Sequence[int], cells: Optional[list[list[int]]] = None
 ) -> tuple[tuple[int, ...], int, list[int]]:
@@ -190,6 +184,19 @@ def _labelling(
     for v in range(n):  # root[root[v]] is final already, as root[v] <= v
         root[v] = root[root[v]]
     return best_pos, best_packed, root
+
+
+def _verdict(adj: Sequence[int]) -> Optional[int]:
+    """The canonical form of the graph given by adjacency masks if the
+    canonical labeling puts its last vertex, or one in that vertex's
+    orbit, last; else None: the canonical-deletion verdict of a search
+    prefix (see Root partition above)."""
+    n = len(adj)
+    cells = _refine(adj, [list(range(n))], [(1 << n) - 1])
+    if n - 1 not in cells[-1]:
+        return None
+    labeling, packed, orbit = _labelling(n, adj, cells)
+    return packed if orbit[labeling[-1]] == orbit[n - 1] else None
 
 
 def canonical_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:

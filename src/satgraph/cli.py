@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graph6 import decode, encode
 from .search import (
+    MODES,
     SearchProblem,
     _usable_cpus,
     enumerate_extremal,
@@ -212,28 +213,28 @@ def _cmd_certify(a) -> int:
     return 0
 
 
-def _budget(given, var: str, kind: type, default):
-    """A budget flag's value, else its environment variable's, else `default`."""
+def _budget(given, var: str, kind: type):
+    """A budget flag's value, else its environment variable's, else None."""
     if given is not None:
         return given
     text = os.environ.get(var)
     try:
-        return default if text is None else kind(text)
+        return None if text is None else kind(text)
     except ValueError:
         raise _UsageError(f"{var}: invalid {kind.__name__} value: {text!r}") from None
 
 
 def _cmd_search(a) -> int:
-    problem = SearchProblem(
-        n=a.n, p=a.p, t=a.t, mode=a.mode,
-        edge_budget=a.edge_budget,
-        node_budget=_budget(a.node_budget, "SATGRAPH_NODE_BUDGET", int, 10**9),
-        time_budget=_budget(a.time_budget, "SATGRAPH_TIME_BUDGET", float, 600.0),
-        iso_reject=not a.no_iso_reject,
-        max_n=a.max_n,
-    )
+    # only the values the user set: SearchProblem's defaults fill the rest
+    given = {
+        "mode": a.mode, "edge_budget": a.edge_budget, "max_n": a.max_n,
+        "node_budget": _budget(a.node_budget, "SATGRAPH_NODE_BUDGET", int),
+        "time_budget": _budget(a.time_budget, "SATGRAPH_TIME_BUDGET", float),
+    }
+    problem = SearchProblem(a.n, a.p, a.t, iso_reject=not a.no_iso_reject,
+                            **{k: v for k, v in given.items() if v is not None})
     solve = (enumerate_extremal if a.enumerate
-             else exact_semi_sat if a.mode == "semi" else exact_sat)
+             else exact_semi_sat if problem.mode == "semi" else exact_sat)
     result = solve(problem, _workers(a.threads))  # the pool caps at its task count
     payload = json.dumps(result.to_json())
     print(payload)
@@ -395,14 +396,14 @@ def _build_parser() -> _Parser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--t", type=int, required=True)
-    ps.add_argument("--mode", choices=["sat", "sat-exact", "semi"], default="sat")
+    ps.add_argument("--mode", choices=MODES)
     ps.add_argument("--enumerate", action="store_true",
                     help="list all optimal graphs up to isomorphism (n <= 9)")
     ps.add_argument("--edge-budget", type=int)
     ps.add_argument("--node-budget", type=int, help="default $SATGRAPH_NODE_BUDGET or 10**9")
     ps.add_argument("--time-budget", type=float, help="default $SATGRAPH_TIME_BUDGET or 600 s")
     ps.add_argument("--no-iso-reject", action="store_true")
-    ps.add_argument("--max-n", type=int, default=10)
+    ps.add_argument("--max-n", type=int)
     ps.add_argument("--out", help="append the result JSON to this file")
     _add_threads(ps)
     ps.set_defaults(func=_cmd_search)

@@ -66,28 +66,23 @@ the orbit test lets through.
 
 The orbit test runs in three stages, each on the prefixes the one before
 keeps: reject the prefix if some vertex has a higher degree than k-1
-(tested first, before the owing set), else if k-1 is not in the last
-cell of its refined unit partition (the root partition), else unless
-the labelling, started from that partition, puts last a vertex of k-1's
-orbit.  The first two stages reject only what the third would: every
-leaf order of the labelling refines the root partition (see `canon`),
-so its last vertex lies in the root's last cell; refinement does not
-depend on labels, so every automorphism maps each root cell onto
-itself, and the orbit of a vertex outside the last cell misses that
-vertex; the first round of refinement orders vertices by ascending
-degree, so the last cell lies inside the class of maximum degree.
+(tested first, before the owing set), else unless `canon._verdict`
+keeps it by its root-cell and orbit stages (see `canon`).  The degree
+stage rejects only what the verdict would, as every vertex the verdict
+keeps last lies in the root's last cell, inside the class of maximum
+degree.
 
-The verdict of these three stages depends on the labelled prefix graph
-alone, not on m, the need, t, p or the mode, and iterative deepening
-walks the same prefixes again at every level.  So each search keeps a
-memo from a prefix that passes the degree stage (its lower-triangle
-adjacency bits under a leading 1, which fixes k) to its canonical form
-if it passes the other two, else None.  A hit gives the decision a
-labelling would, so node counts, values, witnesses and extremal lists
-are those without the memo.  The sibling test depends on the parent and
-is made on every visit.  The memo stops growing at `_MEMO_CAP` entries
-(a few MB) and is dropped when the search returns; each worker process
-keeps one for all its tasks (see `_Pool`).
+The verdict depends on the labelled prefix graph alone, not on m, the
+need, t, p or the mode, and iterative deepening walks the same prefixes
+again at every level.  So each search keeps a memo from a prefix that
+passes the degree stage (its lower-triangle adjacency bits under a
+leading 1, which fixes k) to its canonical form if it passes the other
+two, else None.  A hit gives the decision a labelling would, so node
+counts, values, witnesses and extremal lists are those without the memo.
+The sibling test depends on the parent and is made on every visit.  The
+memo stops growing at `_MEMO_CAP` entries (a few MB) and is dropped when
+the search returns; each worker process keeps one for all its tasks (see
+`_Pool`).
 
 Each level is walked in process.  With a worker pool, a walk past its
 node quota, the same on every level, hands the rest of its stack to the
@@ -103,7 +98,7 @@ import time
 from math import comb, isfinite
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .canon import _labelling, _root_cells, canonical_masks, masks_from_packed
+from .canon import _verdict, canonical_masks, masks_from_packed
 from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError, _check_p
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
@@ -261,18 +256,6 @@ def _owed(adj: list[int], deg: list[int], k: int, t: int, p: int) -> int:
 # memo stops growing (the 10-vertex semi proof keeps 17,817).
 _MEMO_CAP = 1 << 16
 _UNSEEN = object()
-
-
-def _verdict(prefix: list[int]) -> Optional[int]:
-    """The canonical form of the prefix graph (adjacency masks) if the
-    canonical labelling puts its last vertex, or one in that vertex's
-    orbit, last; else None."""
-    k = len(prefix)
-    cells = _root_cells(prefix, k - 1)
-    if cells is None:
-        return None
-    labeling, packed, orbit = _labelling(k, prefix, cells)
-    return packed if orbit[labeling[-1]] == orbit[k - 1] else None
 
 
 def _search(

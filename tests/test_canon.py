@@ -12,7 +12,7 @@ import satgraph.canon
 from satgraph.canon import (
     _labelling,
     _refine,
-    _root_cells,
+    _verdict,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -196,15 +196,13 @@ def test_orbits_match_networkx_automorphisms():
     assert labelling_orbits(Graph(10, BIG[1])) == [[0, 1], list(range(2, 10))]
 
 
-def test_root_partition_bounds_the_last_vertex(monkeypatch):
-    """The facts the search's cheap rejection rests on: the labeling puts
-    last a vertex of the root's last cell, that cell lies inside the class
-    of maximum degree and is a union of orbits, so every vertex that
-    `_root_cells` rules out lies outside the last vertex's orbit.  A vertex
-    below the maximum degree is ruled out before any refinement."""
-    refined = []
-    monkeypatch.setattr(satgraph.canon, "_refine",
-                        lambda *args: refined.append(args) or _refine(*args))
+def test_root_partition_bounds_the_last_vertex():
+    """The facts canonical deletion rests on: the labeling puts last a
+    vertex of the root's last cell, and that cell lies inside the class of
+    maximum degree and is a union of orbits.  With each vertex v in turn
+    relabelled last, `_verdict` keeps the graph exactly when v shares a
+    networkx orbit with the labeling's last vertex, and then gives the
+    graph's canonical form."""
     hs = list(networkx.graph_atlas_g())[1:] + [networkx.Graph(edges) for edges in BIG]
     assert len(hs) == 1256
     for h in hs:
@@ -217,13 +215,12 @@ def test_root_partition_bounds_the_last_vertex(monkeypatch):
         assert labeling[-1] in last
         top = max(g.degree(v) for v in range(n))
         assert all(g.degree(v) == top for v in last)
-        for o in networkx_orbits(h):
+        orbits = networkx_orbits(h)
+        for o in orbits:
             assert set(o) <= last or not set(o) & last, (list(h.edges()), o)
+        home = next(o for o in orbits if labeling[-1] in o)
         for v in range(n):
-            refined.clear()
-            cells = _root_cells(masks, v)
-            assert not refined or g.degree(v) == top
-            if cells is None:
-                assert orbit[labeling[-1]] != orbit[v], (list(h.edges()), v)
-            else:
-                assert cells == root
+            sigma = list(range(n))
+            sigma[v], sigma[-1] = n - 1, v
+            kept = _verdict(relabeled(g, sigma).masks())
+            assert kept == (packed if v in home else None), (list(h.edges()), v)

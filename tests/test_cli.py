@@ -30,6 +30,7 @@ from satgraph.errors import (
 )
 from satgraph.graph6 import decode, encode
 from satgraph.graphs import Graph
+from satgraph.search import SearchProblem
 from satgraph.verify import is_saturated, is_semi_saturated
 
 
@@ -260,13 +261,17 @@ def test_certify_rejects_unsaturated_input():
     assert json.loads(err)["error"] == "verification"
 
 
-def test_search_result_json():
+def test_search_result_json(monkeypatch):
+    for var in ("SATGRAPH_NODE_BUDGET", "SATGRAPH_TIME_BUDGET"):
+        monkeypatch.delenv(var, raising=False)
     code, out, _ = run(["search", "--n", "5", "--p", "3", "--t", "2"])
     assert code == 0
     result = json.loads(out)
     assert result["value"] == 5
     assert result["witness_graph6"] == "DLo"
     assert result["problem"]["mode"] == "sat"
+    # with no flags set, the library's defaults
+    assert result["problem"] == SearchProblem(5, 3, 2).to_json()
 
 
 def test_search_enumerate_lists_extremal_graphs():

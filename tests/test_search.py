@@ -709,11 +709,11 @@ def test_default_quota_keeps_small_levels_in_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Record the arguments of each call to `satgraph.search.<name>`."""
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of each call to `<module>.<name>`."""
     calls = []
-    fn = getattr(satgraph.search, name)
-    monkeypatch.setattr(satgraph.search, name, lambda *args: calls.append(args) or fn(*args))
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -725,7 +725,7 @@ def test_prefix_labelling_counts(monkeypatch):
     # 3,879 and 2,341 without the two stages either); a completed graph
     # with no debt is labelled the same way, as the boundary k = n; the
     # node counts, 31,114 and 21,998 above, do not move
-    calls = _count_calls(monkeypatch, "_labelling")
+    calls = _count_calls(monkeypatch, satgraph.canon, "_labelling")
     for solve, problem, count in [(exact_sat, SearchProblem(8, 3, 2), 150),
                                   (exact_semi_sat, SearchProblem(8, 4, 3, mode="semi"), 410),
                                   (exact_sat, SearchProblem(9, 3, 2), 414)]:
@@ -739,7 +739,7 @@ def test_clique_search_counts(monkeypatch):
     # tests; only p >= 5 runs the generic clique search, at the boundary
     # k = n of a completed graph too, and only on the prefixes that pass
     # the degree stage (23,245 calls if the owing set came first)
-    calls = _count_calls(monkeypatch, "find_clique_in_mask")
+    calls = _count_calls(monkeypatch, satgraph.search, "find_clique_in_mask")
     for problem, count in [(SearchProblem(9, 3, 2), 0), (SearchProblem(8, 5, 4), 11_488)]:
         calls.clear()
         exact_sat(problem, threads=1)
@@ -751,9 +751,9 @@ def test_boundary_work_counts(monkeypatch):
     # owing set or asks for a verdict (6,447 and 9,508 owing sets, 1,203
     # and 4,075 verdicts if it asked first); labellings and nodes do not
     # depend on that order
-    owed = _count_calls(monkeypatch, "_owed")
-    verdicts = _count_calls(monkeypatch, "_verdict")
-    labellings = _count_calls(monkeypatch, "_labelling")
+    owed = _count_calls(monkeypatch, satgraph.search, "_owed")
+    verdicts = _count_calls(monkeypatch, satgraph.search, "_verdict")
+    labellings = _count_calls(monkeypatch, satgraph.canon, "_labelling")
     for solve, problem, counts in [
             (exact_sat, SearchProblem(9, 3, 2), (2_608, 483, 414, 21_998)),
             (exact_semi_sat, SearchProblem(10, 4, 5, mode="semi"), (2_923, 1_257, 791, 38_884))]:
@@ -822,7 +822,7 @@ def test_memo_lives_for_one_search(monkeypatch):
     """Each search starts with an empty memo of its own, so a repeated
     search labels as many prefixes as the first; none is left in the
     module."""
-    calls = _count_calls(monkeypatch, "_labelling")
+    calls = _count_calls(monkeypatch, satgraph.canon, "_labelling")
     memos = _record_memos(monkeypatch)
     counts = []
     for _ in range(2):
