@@ -81,8 +81,8 @@ two, else None.  A hit gives the decision a labelling would, so node
 counts, values, witnesses and extremal lists are those without the memo.
 The sibling test depends on the parent and is made on every visit.  The
 memo stops growing at `_MEMO_CAP` entries (a few MB) and is dropped when
-the search returns; each worker process keeps one for all its tasks (see
-`_Pool`).
+the search returns.  Worker tasks label without it, each from an empty
+memo of its own (see `_task`).
 
 Each level is walked in process.  With a worker pool, a walk past its
 node quota, the same on every level, hands the rest of its stack to the
@@ -407,31 +407,23 @@ def _search(
 
 
 # Nodes a walk takes before it hands back its stack.  In process, a level
-# under _QUOTA costs less than in workers, which lack the memo's later
-# verdicts.  In a task, few, so that an idle worker soon has work, and so
-# that a stopped search's pool soon ends: closing it cancels the tasks it
-# holds back, and those running or in its call queue (at most one more
-# than the workers) end within _WORKER_QUOTA nodes each.
+# under _QUOTA costs less than in workers, which label without the memo.
+# In a task, few, so that an idle worker soon has work, and so that a
+# stopped search's pool soon ends: closing it cancels the tasks it holds
+# back, and those running or in its call queue (at most one more than the
+# workers) end within _WORKER_QUOTA nodes each.
 _QUOTA = 1 << 16
 _WORKER_QUOTA = 4096
-
-# Set in each worker process by the pool's initializer: the memo the
-# worker keeps for all its tasks.
-_worker_memo: Optional[dict] = None
-
-
-def _init_worker(memo: dict) -> None:
-    global _worker_memo
-    _worker_memo = memo
 
 
 def _task(problem: SearchProblem, m: int, group: list, nodes_left: int, deadline: float):
     """One worker task: (solutions, nodes, groups) of a walk of `group`,
     handing back at `_WORKER_QUOTA` nodes; the solutions are None when the
-    task ran out of nodes or time."""
+    task ran out of nodes or time.  The walk starts from an empty memo,
+    so no verdict outlives the task."""
     budget = _Budget(nodes_left, deadline)
     try:
-        solutions, groups = _search(problem, m, group, _WORKER_QUOTA, budget, _worker_memo)
+        solutions, groups = _search(problem, m, group, _WORKER_QUOTA, budget, {})
     except BudgetExceededError:
         return None, budget.nodes, []
     return solutions, budget.nodes, groups
@@ -439,30 +431,20 @@ def _task(problem: SearchProblem, m: int, group: list, nodes_left: int, deadline
 
 class _Pool:
     """The `size` worker processes of one search, started at a level's
-    first handback.  Forked workers start from the contents of the
-    search's memo at that time; spawned ones start empty, rather than be
-    sent a copy.  `close` cancels the tasks not yet started and joins
-    the workers."""
+    first handback with the platform's default start method, and sent
+    nothing but tasks.  `close` cancels the tasks not yet started and
+    joins the workers."""
 
-    def __init__(self, size: int, memo: dict):
+    def __init__(self, size: int):
         self.size = size
-        self.memo = memo
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def submit(self, problem: SearchProblem, m: int, group: list, budget: _Budget) -> Future:
         """`_task` on one group, with the nodes and time left to `budget`."""
         if self._executor is None:
-            import multiprocessing  # the pool's modules load at the first hand-back
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor  # at the first hand-back
 
-            # the platform's default start method: forking a worker costs
-            # about 10 ms, spawning one that imports the package about 300 ms
-            context = multiprocessing.get_context()
-            memo = self.memo if context.get_start_method() == "fork" else {}
-            self._executor = ProcessPoolExecutor(
-                self.size, mp_context=context,
-                initializer=_init_worker, initargs=(memo,),
-            )
+            self._executor = ProcessPoolExecutor(self.size)
         return self._executor.submit(
             _task, problem, m, group, budget.limit - budget.nodes, budget.deadline)
 
@@ -544,7 +526,7 @@ def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> Sea
     solutions: set[int] = set()
     value = None
     memo: dict = {}  # prefix key -> verdict, for this search only
-    pool = _Pool(threads, memo) if threads > 1 else None
+    pool = _Pool(threads) if threads > 1 else None
     try:
         for m in range(m_lo, cap + 1):
             solutions = _run_level(problem, m, budget, pool, memo)

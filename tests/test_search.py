@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -820,8 +824,7 @@ def test_memo_keys_are_the_prefix_bits(monkeypatch):
 
 def test_memo_lives_for_one_search(monkeypatch):
     """Each search starts with an empty memo of its own, so a repeated
-    search labels as many prefixes as the first; none is left in the
-    module."""
+    search labels as many prefixes as the first."""
     calls = _count_calls(monkeypatch, satgraph.canon, "_labelling")
     memos = _record_memos(monkeypatch)
     counts = []
@@ -833,13 +836,15 @@ def test_memo_lives_for_one_search(monkeypatch):
         assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
         assert len(memos[0][0]) > 0
     assert counts == [150, 150]
-    # with small quotas, (9, 3, 2) shares its levels with the pool
+    # with small quotas, (9, 3, 2) shares its levels with the pool, and
+    # its in-process walks still share the one memo
     _small_quotas(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     before = _CountingPool.submitted
+    memos.clear()
     assert exact_sat(SearchProblem(9, 3, 2), threads=2).value == 13
     assert _CountingPool.submitted > before
-    assert satgraph.search._worker_memo is None
+    assert memos[0][1] == 0 and all(memo is memos[0][0] for memo, _ in memos)
 
 
 class _InProcessPool:
@@ -848,9 +853,8 @@ class _InProcessPool:
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def submit(self, fn, *args):
         future = Future()
@@ -867,8 +871,6 @@ def test_default_workers_are_the_usable_cpus(monkeypatch):
     _small_quotas(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    # what the stand-in's initializer sets in this process
-    monkeypatch.setattr(satgraph.search, "_worker_memo", None)
     serial = _without_time(exact_sat(SearchProblem(9, 3, 2), threads=1))
     for cpus, threads, sizes in [({0}, None, []), ({0, 1, 2}, None, [3]), ({0}, 2, [2])]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -935,18 +937,71 @@ def test_time_budget_stops_a_search():
         assert multiprocessing.active_children() == []
 
 
-def test_worker_task_stops_at_its_first_node(monkeypatch):
+def test_worker_task_stops_at_its_first_node():
     # a task is run here as a worker would run it, with no process started,
     # on a copy of a group that a walk handed back, as a worker receives it
     problem, m = SearchProblem(9, 3, 2), 13
     search = satgraph.search
-    budget = search._Budget(10**9, time.monotonic() + 60)
-    group = pickle.dumps(search._search(problem, m, None, 500, budget, {})[1][0])
-    monkeypatch.setattr(search, "_worker_memo", {})
+    group = _handed_back_group(problem, m)
     found, nodes, _ = search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() + 60)
     assert found is not None and nodes > 1
     assert search._task(problem, m, pickle.loads(group), 10**9, time.monotonic() - 1)[:2] == (
         None, 1)
+
+
+def _handed_back_group(problem: SearchProblem, m: int) -> bytes:
+    """The last group a walk of level m hands back past 500 nodes, the
+    one whose parent prefix is the shortest, pickled as a worker
+    receives it."""
+    budget = satgraph.search._Budget(10**9, time.monotonic() + 60)
+    return pickle.dumps(satgraph.search._search(problem, m, None, 500, budget, {})[1][-1])
+
+
+def test_worker_tasks_keep_no_verdict(monkeypatch):
+    # a task walks its group from an empty memo, so the same group run
+    # twice in one process labels as many prefixes the second time (a
+    # memo kept for the process would leave the second run none to label)
+    problem, m = SearchProblem(9, 3, 2), 13
+    group = _handed_back_group(problem, m)
+    calls = _count_calls(monkeypatch, satgraph.canon, "_labelling")
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        found, nodes, _ = satgraph.search._task(
+            problem, m, pickle.loads(group), 10**9, time.monotonic() + 60)
+        assert found is not None
+        counts.append(len(calls))
+    assert counts == [115, 115]
+
+
+def test_spawned_workers_give_the_serial_json():
+    # in a fresh interpreter that spawns its workers, which then import
+    # the package afresh: (9, 3, 2) shares its levels with the pool past
+    # 1,000 nodes, and gives the JSON of a serial search
+    code = (
+        "import json, multiprocessing\n"
+        "from satgraph import search\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    search._QUOTA = 1000\n"
+        "    tasks = []\n"
+        "    submit = search._Pool.submit\n"
+        "    search._Pool.submit = lambda pool, *call: tasks.append(1) or submit(pool, *call)\n"
+        "    runs = []\n"
+        "    for threads in (1, 2):\n"
+        "        out = search.exact_sat(search.SearchProblem(9, 3, 2), threads=threads).to_json()\n"
+        "        del out['wall_ms']\n"
+        "        runs.append(out)\n"
+        "    print(json.dumps([runs, len(tasks), multiprocessing.get_start_method(),\n"
+        "                      len(multiprocessing.active_children())]))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert out.returncode == 0, out.stderr
+    (serial, pooled), tasks, method, children = json.loads(out.stdout)
+    assert pooled == serial and serial["value"] == 13
+    assert tasks > 0 and method == "spawn" and children == 0
 
 
 def test_serial_search_walks_each_level_once(monkeypatch):
