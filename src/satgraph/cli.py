@@ -235,7 +235,7 @@ def _cmd_search(a) -> int:
                             **{k: v for k, v in given.items() if v is not None})
     solve = (enumerate_extremal if a.enumerate
              else exact_semi_sat if problem.mode == "semi" else exact_sat)
-    result = solve(problem, _workers(a.threads))  # the pool caps at its task count
+    result = solve(problem, _workers(a.threads))  # at most one worker per usable CPU
     payload = json.dumps(result.to_json())
     print(payload)
     if a.out:

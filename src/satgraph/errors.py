@@ -48,10 +48,12 @@ class IntegrityError(RuntimeError):
 
 
 class FatalInconsistencyError(RuntimeError):
-    """A verified-saturated subject violated a proven lower bound.
+    """A proven result failed an independent check: a verified-saturated
+    subject violated a proven lower bound, or an exact search's witness
+    failed its mode's checker or its edge count.
 
     This cannot happen for correct code on correct inputs; if it fires,
-    either the verifier or the bound evaluator is wrong.
+    the verifier, the bound evaluator or the search is wrong.
     """
 
     def __init__(self, message: str, report=None):

@@ -99,7 +99,9 @@ from math import comb, isfinite
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .canon import _verdict, canonical_masks, masks_from_packed
-from .errors import BudgetExceededError, DomainError, IntegrityError, LabelingLimitError, _check_p
+from .errors import (
+    BudgetExceededError, DomainError, FatalInconsistencyError, LabelingLimitError, _check_p,
+)
 from .graph6 import encode
 from .graphs import Graph, find_clique_in_mask
 from .verify import ehm_bound, is_saturated, is_semi_saturated
@@ -305,6 +307,7 @@ def _search(
     nodes, limit = budget.nodes, budget.limit
     end = limit if quota is None else min(limit, nodes + quota)
     check = 0  # the next node that reads the clock
+    groups: dict = {}
     try:
         while stack:
             op, idx, e, held, later, owed, parent = pop()
@@ -322,10 +325,12 @@ def _search(
             if nodes >= check:
                 if nodes > limit:
                     raise BudgetExceededError("node budget exhausted")
-                if nodes > end:  # hand back, with this node unwalked
+                if nodes > end:  # hand back this node, and each one after it, unwalked
                     nodes -= 1
-                    push((op, idx, e, held, later, owed, parent))
-                    break
+                    groups.setdefault(id(parent), []).extend((
+                        (_SET, 0, 0, 0, 0, 0, (tuple(adj), tuple(deg))),
+                        (op, idx, e, held, later, owed, parent)))
+                    continue
                 if time.monotonic() > budget.deadline:
                     raise BudgetExceededError("time budget exhausted")
                 check = min(end, nodes + (-nodes & 8191)) + 1
@@ -389,20 +394,6 @@ def _search(
                     push((_TAKE, idx, e, held, later, owed, parent))
     finally:
         budget.nodes = nodes
-    groups: dict = {}
-    for entry in reversed(stack):  # top down, so undo what lies above each entry
-        op, idx, parent = entry[0], entry[1], entry[6]
-        if op == _SET:
-            adj[:], deg[:] = parent
-        elif op == _UNDO:
-            j, k, bj, bk = rows[idx][:4]
-            adj[j] ^= bk
-            adj[k] ^= bj
-            deg[j] -= 1
-            deg[k] -= 1
-        else:
-            groups.setdefault(id(parent), []).extend(
-                ((_SET, 0, 0, 0, 0, 0, (tuple(adj), tuple(deg))), entry))
     return solutions, [group[::-1] for group in groups.values()]
 
 
@@ -479,7 +470,7 @@ def _run_level(
 
 def _verify_witness(problem: SearchProblem, g: Graph, value: int) -> None:
     if g.edge_count() != value:
-        raise IntegrityError("witness edge count disagrees with the value")
+        raise FatalInconsistencyError("witness edge count disagrees with the value")
     delta = g.min_degree()
     if problem.mode == "sat-exact":
         ok = delta == problem.t and is_saturated(g, problem.p)
@@ -488,7 +479,7 @@ def _verify_witness(problem: SearchProblem, g: Graph, value: int) -> None:
     else:
         ok = delta >= problem.t and is_semi_saturated(g, problem.p)
     if not ok:
-        raise IntegrityError("witness fails its own mode checker")
+        raise FatalInconsistencyError("witness fails its own mode checker")
 
 
 def _usable_cpus() -> int:
@@ -515,35 +506,29 @@ def _solve(problem: SearchProblem, collect: bool, threads: Optional[int]) -> Sea
     def elapsed_ms() -> int:
         return int(round((time.monotonic() - start) * 1000))
 
-    if t > n - 1:
-        return SearchResult(problem, "infeasible", None, None, None, 0, elapsed_ms())
+    # t > n - 1 puts m_lo past C(n, 2), so no level is walked
     m_lo = max(0, -(-t * n // 2))
     if problem.mode != "semi":
         m_lo = max(m_lo, ehm_bound(n, p))
     cap = comb(n, 2)
     if problem.edge_budget is not None:
         cap = min(cap, problem.edge_budget)
-    solutions: set[int] = set()
-    value = None
+    solutions: set[int] = set()  # empty until a level is feasible
+    status = "infeasible"
     memo: dict = {}  # prefix key -> verdict, for this search only
     pool = _Pool(threads) if threads > 1 else None
     try:
-        for m in range(m_lo, cap + 1):
-            solutions = _run_level(problem, m, budget, pool, memo)
+        for value in range(m_lo, cap + 1):
+            solutions = _run_level(problem, value, budget, pool, memo)
             if solutions:
-                value = m
                 break
     except (BudgetExceededError, LabelingLimitError):
-        return SearchResult(
-            problem, "resource-limit", None, None, None, budget.nodes, elapsed_ms()
-        )
+        status = "resource-limit"
     finally:
         if pool is not None:
             pool.close()
-    if value is None:
-        return SearchResult(
-            problem, "infeasible", None, None, None, budget.nodes, elapsed_ms()
-        )
+    if not solutions:
+        return SearchResult(problem, status, None, None, None, budget.nodes, elapsed_ms())
     chosen = sorted(solutions) if collect else [min(solutions)]
     graphs = [Graph._unchecked(n, masks_from_packed(n, packed)) for packed in chosen]
     for g in graphs:

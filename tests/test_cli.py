@@ -295,6 +295,21 @@ def test_search_labeling_guard_is_a_resource_limit(monkeypatch):
     assert json.loads(out)["value"] == "resource-limit"
 
 
+def test_search_witness_failing_its_check_exits_fatal(monkeypatch):
+    # a witness that fails its mode's checker is a fault of the search,
+    # reported like any other error: one JSON line on stderr, exit 1
+    monkeypatch.setattr(satgraph.search, "is_saturated", lambda g, p: False)
+    code, out, err = run(["search", "--n", "6", "--p", "3", "--t", "2"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "fatal-inconsistency",
+                               "detail": "witness fails its own mode checker"}
+
+
+def test_help_exits_zero():
+    code, out, _ = run(["--help"])
+    assert code == 0 and out.startswith("usage: satgraph")
+
+
 def test_search_over_max_n_is_usage_error():
     code, _, err = run(["search", "--n", "11", "--p", "3", "--t", "2"])
     assert code == 2

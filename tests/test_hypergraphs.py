@@ -76,6 +76,14 @@ def test_from_text_rejects_malformed_input():
         ("x", "header must be 'r n m'"),
         ("3 5 1\n0 1", "has 2 vertices, expected 3"),
         ("3 5 1\n0 1 5", "out of range"),
+        ("", "empty hypergraph input"),
+        ("3 5 x\n0 1 2", "non-integer header field"),
+        ("3 5 2\n0 1 2", "header promises 2 edges, found 1"),
+        ("3 5 1\n0 1 z", "non-integer vertex"),
+        ("3 5 1\n0 2 1", "not strictly increasing"),
+        ("3 5 1\n0 1 1", "not strictly increasing"),
+        ("3 5 2\n0 1 3\n0 1 2", "not in lexicographic order"),
+        ("3 5 2\n0 1 2\n0 1 2", "duplicate edge lines"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError) as err:

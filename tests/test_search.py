@@ -21,7 +21,7 @@ import satgraph.search
 from satgraph.canon import are_isomorphic, canonical_graph
 from satgraph.cli import main
 from satgraph.constructions import duffus_hanson_t2, ehm_extremal
-from satgraph.errors import DomainError
+from satgraph.errors import DomainError, FatalInconsistencyError
 from satgraph.graph6 import decode
 from satgraph.graphs import Graph
 from satgraph.search import (
@@ -208,6 +208,29 @@ def test_problem_validation():
         exact_sat(SearchProblem(4, 5, 2, max_n=10))
     with pytest.raises(DomainError):
         exact_sat(SearchProblem(6, 2, 1))
+
+
+def test_solvers_refuse_the_other_modes():
+    with pytest.raises(DomainError, match="exact_sat needs mode sat or sat-exact"):
+        exact_sat(SearchProblem(5, 3, 2, mode="semi"))
+    for mode in ("sat", "sat-exact"):
+        with pytest.raises(DomainError, match="exact_semi_sat needs mode semi"):
+            exact_semi_sat(SearchProblem(5, 3, 2, mode=mode))
+
+
+def test_a_witness_failing_its_check_is_a_fatal_inconsistency(monkeypatch):
+    # each witness is checked again by its mode's own checker and edge
+    # count; a failure is a fault of the search, not of its input
+    problem = SearchProblem(6, 3, 2)
+    witness = exact_sat(problem, threads=1).witness
+    with pytest.raises(FatalInconsistencyError, match="edge count"):
+        satgraph.search._verify_witness(problem, witness, 8)
+    monkeypatch.setattr(satgraph.search, "is_saturated", lambda g, p: False)
+    monkeypatch.setattr(satgraph.search, "is_semi_saturated", lambda g, p: False)
+    for solve, mode in [(exact_sat, "sat"), (exact_sat, "sat-exact"),
+                        (exact_semi_sat, "semi")]:
+        with pytest.raises(FatalInconsistencyError, match="mode checker"):
+            solve(problem._replace(mode=mode), threads=1)
 
 
 def test_problem_and_result_contract():
@@ -935,6 +958,24 @@ def test_time_budget_stops_a_search():
         r = exact_sat(SearchProblem(9, 3, 2, time_budget=1e-9), threads=threads)
         assert (r.status, r.nodes) == ("resource-limit", 1), threads
         assert multiprocessing.active_children() == []
+
+
+def test_a_worker_task_out_of_time_is_a_resource_limit(monkeypatch):
+    # (8, 4, 3)'s first level hands its walk to the pool at 1,000 nodes,
+    # and the deadline passes as it does: each task stops at its first
+    # node, and the level at the first task done
+    _small_quotas(monkeypatch)
+    search = satgraph.search._search
+
+    def walk_then_expire(problem, m, group, quota, budget, memo):
+        found = search(problem, m, group, quota, budget, memo)
+        budget.deadline = time.monotonic() - 1
+        return found
+
+    monkeypatch.setattr(satgraph.search, "_search", walk_then_expire)
+    r = exact_sat(SearchProblem(8, 4, 3), threads=2)
+    assert (r.status, r.nodes) == ("resource-limit", 1_001)
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_task_stops_at_its_first_node():

@@ -236,6 +236,17 @@ def test_bounds_table_calls_an_evaluator_replaced_after_its_rows(monkeypatch):
         check_bounds(g, 3, t)
 
 
+def test_bound_rows_are_dropped_at_their_cap(monkeypatch):
+    # the table of bound rows empties when it holds 1,024, so a stream of
+    # ever new (n, t, min degree) keeps it small; a row dropped is made
+    # again, the same
+    monkeypatch.setattr(verify, "_ROWS", {})
+    g = cycle(5)
+    reports = [check_bounds(g, 3, t) for t in range(1_100)]
+    assert len(verify._ROWS) == 1_100 - 1_024
+    assert [check_bounds(g, 3, t) for t in range(1_100)] == reports
+
+
 def test_check_bounds_report_keys_and_bound_names():
     out = check_bounds(petersen(), 3, 3).to_json()
     assert list(out) == [
